@@ -1,18 +1,15 @@
 // Command seatwin-loadgen load-tests the read-side serving layer.
 //
-// In its default -compare mode it builds the full pipeline twice in
-// process — first serving reads from bounded kvstore scans, then from
-// materialized views — prefills both with the same seeded fleet, keeps
-// the simulator ingesting during measurement, and hammers the HTTP API
-// with a mixed GET workload plus a pool of SSE subscribers. The two
-// phases land side by side in one JSON report ("before/after"),
-// together with two microbenchmarks of the new subsystem: snapshot-read
-// allocations per request and the relay tier's sustained subscriber
-// count.
+// By default it builds the full pipeline in process, prefills it from a
+// seeded fleet, keeps the simulator ingesting during measurement, and
+// hammers the HTTP API with a mixed GET workload plus a pool of SSE
+// subscribers. The phase lands in one JSON report together with two
+// microbenchmarks of the serving layer: snapshot-read allocations per
+// request and the relay tier's sustained subscriber count.
 //
 // Usage:
 //
-//	seatwin-loadgen [-compare] [-vessels 2000] [-duration 5s] [-conns 16]
+//	seatwin-loadgen [-vessels 2000] [-duration 5s] [-conns 16]
 //	                [-sse 64] [-seed 1] [-out BENCH_PR7.json]
 //	seatwin-loadgen -url http://host:8080 -duration 10s    # external target
 //	seatwin-loadgen -smoke                                 # CI: tiny run, exit 1 on any error
@@ -57,7 +54,6 @@ type options struct {
 	duration   time.Duration
 	conns      int
 	sse        int
-	compare    bool
 	smoke      bool
 	out        string
 }
@@ -105,12 +101,11 @@ type relayReport struct {
 }
 
 type report struct {
-	GeneratedUnix     int64               `json:"generated_unix"`
-	Config            map[string]any      `json:"config"`
-	Phases            []phaseReport       `json:"phases"`
-	SpeedupVesselsRPS float64             `json:"speedup_vessels_rps,omitempty"`
-	SnapshotRead      *snapshotReadReport `json:"snapshot_read,omitempty"`
-	RelayTier         *relayReport        `json:"relay_tier,omitempty"`
+	GeneratedUnix int64               `json:"generated_unix"`
+	Config        map[string]any      `json:"config"`
+	Phases        []phaseReport       `json:"phases"`
+	SnapshotRead  *snapshotReadReport `json:"snapshot_read,omitempty"`
+	RelayTier     *relayReport        `json:"relay_tier,omitempty"`
 }
 
 func main() {
@@ -118,21 +113,20 @@ func main() {
 	flag.StringVar(&o.url, "url", "", "external API base URL (empty = build the pipeline in process)")
 	flag.IntVar(&o.vessels, "vessels", 2000, "simulated fleet size (in-process targets)")
 	flag.StringVar(&o.region, "region", "europe", "fleet region: aegean | europe | global — denser regions cost more event-detection CPU per report")
-	flag.Int64Var(&o.seed, "seed", 1, "simulation seed (identical across compared phases)")
+	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	flag.IntVar(&o.prefill, "prefill", 0, "reports ingested before measurement (0 = 2x vessels)")
 	flag.IntVar(&o.ingestRate, "ingest-rate", 300, "background reports/s ingested during measurement (0 = none); keep well under pipeline capacity so reads, not writes, are measured")
 	flag.DurationVar(&o.duration, "duration", 5*time.Second, "measured load window per phase")
 	flag.IntVar(&o.conns, "conns", 16, "concurrent HTTP load workers")
 	flag.IntVar(&o.sse, "sse", 64, "concurrent SSE subscribers held open during the phase")
-	flag.BoolVar(&o.compare, "compare", true, "run a kvstore phase then a views phase and report the speedup")
-	flag.BoolVar(&o.smoke, "smoke", false, "CI smoke: one tiny compare iteration, exit non-zero on any request error")
+	flag.BoolVar(&o.smoke, "smoke", false, "CI smoke: one tiny run, exit non-zero on any request error")
 	flag.StringVar(&o.out, "out", "", "write the JSON report to this file (empty = stdout only)")
 	flag.Parse()
 
 	if o.smoke {
 		o.vessels, o.duration, o.conns, o.sse = 300, 800*time.Millisecond, 4, 8
 		o.ingestRate, o.region = 100, "aegean"
-		o.compare, o.url = true, ""
+		o.url = ""
 	}
 	if o.prefill <= 0 {
 		o.prefill = 2 * o.vessels
@@ -148,30 +142,13 @@ func main() {
 		},
 	}
 
-	switch {
-	case o.url != "":
+	if o.url != "" {
 		rep.Phases = append(rep.Phases, runLoad(o, "external", strings.TrimRight(o.url, "/"), nil))
-	case o.compare:
-		for _, ph := range []struct {
-			name     string
-			useViews bool
-		}{{"kvstore", false}, {"views", true}} {
-			tgt := startTarget(o, ph.useViews)
-			rep.Phases = append(rep.Phases, runLoad(o, ph.name, tgt.base, tgt.ingested))
-			tgt.shutdown()
-		}
-		before := rep.Phases[0].Endpoints["/api/vessels"].RPS
-		after := rep.Phases[1].Endpoints["/api/vessels"].RPS
-		if before > 0 {
-			rep.SpeedupVesselsRPS = after / before
-		}
-	default:
-		tgt := startTarget(o, true)
+	} else {
+		tgt := startTarget(o)
 		rep.Phases = append(rep.Phases, runLoad(o, "views", tgt.base, tgt.ingested))
 		tgt.shutdown()
-	}
 
-	if o.url == "" {
 		sr := snapshotReadCheck(2000, 100)
 		rep.SnapshotRead = &sr
 		relays, subs, frames := 128, 100_000, 20_000
@@ -231,11 +208,11 @@ type target struct {
 	shutdown func()
 }
 
-// startTarget builds the full serving stack (store, hub, optional
-// views, pipeline, HTTP API on a loopback port), prefills it from the
+// startTarget builds the full serving stack (store, hub, pipeline with
+// its own views, HTTP API on a loopback port), prefills it from the
 // seeded simulator and leaves the simulator ingesting at a steady pace
 // so reads race writes like production.
-func startTarget(o options, useViews bool) *target {
+func startTarget(o options) *target {
 	var box geo.BBox
 	switch o.region {
 	case "aegean":
@@ -249,12 +226,8 @@ func startTarget(o options, useViews bool) *target {
 	}
 	store := kvstore.New()
 	hub := feed.NewHub(feed.Options{RegionResolution: 7})
-	var v *views.Views
-	if useViews {
-		v = views.New(views.Config{RegionResolution: 7})
-	}
 	cfg := pipeline.DefaultConfig(events.NewKinematicForecaster())
-	cfg.Store, cfg.Feed, cfg.Views = store, hub, v
+	cfg.Store, cfg.Feed = store, hub
 	for _, pt := range fleetsim.PortsWithin(box) {
 		cfg.Ports = append(cfg.Ports, congestion.Port{Name: pt.Name, Pos: pt.Pos, Radius: 6000, Capacity: 10})
 	}
@@ -286,9 +259,7 @@ func startTarget(o options, useViews bool) *target {
 		ingested++
 	}
 	p.Drain(30 * time.Second)
-	if v != nil {
-		v.Refresh() // first epoch is ready before the first request
-	}
+	p.Views().Refresh() // first epoch is ready before the first request
 
 	// Background ingest trickle: keeps the write side (actors, event
 	// detection, view staging) live while reads are measured. The rate
@@ -325,11 +296,7 @@ func startTarget(o options, useViews bool) *target {
 		}()
 	}
 
-	mode := "kvstore"
-	if useViews {
-		mode = "views"
-	}
-	log.Printf("%s target on http://%s (%d vessels, %d prefilled)", mode, api.Addr(), o.vessels, ingested)
+	log.Printf("target on http://%s (%d vessels, %d prefilled)", api.Addr(), o.vessels, ingested)
 	return &target{
 		base:     "http://" + api.Addr().String(),
 		ingested: func() int64 { return atomic.LoadInt64(&ingested) },
@@ -339,9 +306,6 @@ func startTarget(o options, useViews bool) *target {
 			api.Close()
 			p.Shutdown(10 * time.Second)
 			hub.Close()
-			if v != nil {
-				v.Close()
-			}
 			store.Close()
 		},
 	}

@@ -64,41 +64,39 @@ type opts struct {
 	retrainEvery time.Duration
 	shadowHold   float64
 	injector     *chaos.Injector
-	addr        string
-	respAddr    string
-	duration    time.Duration
-	seed        int64
-	dataDir     string
-	ports       bool
-	feedTCP     string
-	feedRes     int
-	views       bool
-	pprofOn     bool
-	ckptEvery   int
-	partitions  int
-	workers     int
-	workerID    string
-	coordURL    string
-	clusterAddr string
+	addr         string
+	respAddr     string
+	duration     time.Duration
+	seed         int64
+	dataDir      string
+	ports        bool
+	feedTCP      string
+	feedRes      int
+	pprofOn      bool
+	ckptEvery    int
+	partitions   int
+	workers      int
+	workerID     string
+	coordURL     string
+	clusterAddr  string
 }
 
 func main() {
 	var (
-		vessels     = flag.Int("vessels", 2000, "simulated fleet size")
-		region      = flag.String("region", "aegean", "aegean | europe | global")
-		modelPath   = flag.String("model", "", "trained S-VRF model file (empty: linear kinematic)")
-		addr        = flag.String("addr", "127.0.0.1:8080", "HTTP API listen address")
-		respAddr    = flag.String("resp", "", "optional Redis-protocol listen address (e.g. 127.0.0.1:6379)")
-		duration    = flag.Duration("duration", 0, "run time (0 = until interrupted)")
-		seed        = flag.Int64("seed", 1, "simulation seed")
-		dataDir     = flag.String("data", "", "durable broker directory (empty = in-memory)")
-		ports       = flag.Bool("monitor-ports", false, "enable port-congestion monitoring for catalog ports in the region")
-		feedTCP     = flag.String("feed-tcp", "", "optional live-feed TCP listen address (length-prefixed JSON, e.g. 127.0.0.1:9230)")
-		feedRes     = flag.Int("feed-region-res", 7, "hexgrid resolution of live-feed region/<cell> topics")
-		viewsOn     = flag.Bool("views", true, "serve reads from materialized views (false = direct kvstore scans)")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the API address")
-		chaosSpec   = flag.String("chaos", "", "fault-injection spec, e.g. error=0.1,latency=5ms,panic=0.001,truncate=0.01,seed=7 (empty = off)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "reports between vessel history checkpoints (0 = 16; negative = disable checkpointing)")
+		vessels      = flag.Int("vessels", 2000, "simulated fleet size")
+		region       = flag.String("region", "aegean", "aegean | europe | global")
+		modelPath    = flag.String("model", "", "trained S-VRF model file (empty: linear kinematic)")
+		addr         = flag.String("addr", "127.0.0.1:8080", "HTTP API listen address")
+		respAddr     = flag.String("resp", "", "optional Redis-protocol listen address (e.g. 127.0.0.1:6379)")
+		duration     = flag.Duration("duration", 0, "run time (0 = until interrupted)")
+		seed         = flag.Int64("seed", 1, "simulation seed")
+		dataDir      = flag.String("data", "", "durable broker directory (empty = in-memory)")
+		ports        = flag.Bool("monitor-ports", false, "enable port-congestion monitoring for catalog ports in the region")
+		feedTCP      = flag.String("feed-tcp", "", "optional live-feed TCP listen address (length-prefixed JSON, e.g. 127.0.0.1:9230)")
+		feedRes      = flag.Int("feed-region-res", 7, "hexgrid resolution of live-feed region/<cell> topics")
+		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the API address")
+		chaosSpec    = flag.String("chaos", "", "fault-injection spec, e.g. error=0.1,latency=5ms,panic=0.001,truncate=0.01,seed=7 (empty = off)")
+		ckptEvery    = flag.Int("checkpoint-every", 0, "reports between vessel history checkpoints (0 = 16; negative = disable checkpointing)")
 		retrainEvery = flag.Duration("retrain-every", 0, "background model-retrain interval (0 = lifecycle loop off; single-process mode only)")
 		shadowHold   = flag.Float64("shadow-holdout", 0.25, "newest fraction of replayed windows held out for the shadow eval")
 
@@ -169,7 +167,6 @@ func main() {
 		model: model, retrainEvery: *retrainEvery, shadowHold: *shadowHold,
 		addr: *addr, respAddr: *respAddr, duration: *duration, seed: *seed,
 		dataDir: *dataDir, ports: *ports, feedTCP: *feedTCP, feedRes: *feedRes,
-		views:   *viewsOn,
 		pprofOn: *pprofOn, ckptEvery: *ckptEvery,
 		partitions: *partitions, workers: *workers,
 		workerID: *workerID, coordURL: *coordURL, clusterAddr: *clusterAddr,
@@ -206,15 +203,10 @@ func baseConfig(o opts, store *kvstore.Store, hub *feed.Hub) pipeline.Config {
 	return cfg
 }
 
-// newViews builds the read-side serving layer (nil when -views=false:
-// the API falls back to bounded kvstore scans). The region resolution
+// newViews builds the read-side serving layer. The region resolution
 // matches the live feed so /api/regions cells line up with feed
 // region/<cell> topics.
 func newViews(o opts) *views.Views {
-	if !o.views {
-		return nil
-	}
-	log.Printf("materialized views enabled (read path: pre-encoded snapshots)")
 	return views.New(views.Config{RegionResolution: o.feedRes})
 }
 
@@ -368,10 +360,8 @@ func runSingle(o opts) {
 	hub := feed.NewHub(feed.Options{RegionResolution: o.feedRes})
 	defer hub.Close()
 	cfg := baseConfig(o, store, hub)
-	if v := newViews(o); v != nil {
-		cfg.Views = v
-		defer v.Close()
-	}
+	cfg.Views = newViews(o)
+	defer cfg.Views.Close()
 	p, err := pipeline.New(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -476,9 +466,7 @@ func runMulti(o opts) {
 	// into it, so the single API surface (workers[0]) serves the whole
 	// fleet regardless of partition ownership.
 	v := newViews(o)
-	if v != nil {
-		defer v.Close()
-	}
+	defer v.Close()
 	workers := make([]*pipeline.Pipeline, 0, o.workers)
 	for i := 0; i < o.workers; i++ {
 		cfg := baseConfig(o, store, nil)
@@ -591,10 +579,8 @@ func runWorker(o opts) {
 	defer closeBroker()
 
 	cfg := baseConfig(o, store, hub)
-	if v := newViews(o); v != nil {
-		cfg.Views = v
-		defer v.Close()
-	}
+	cfg.Views = newViews(o)
+	defer cfg.Views.Close()
 	cfg.Cluster = &pipeline.ClusterConfig{
 		WorkerID:   o.workerID,
 		Membership: cluster.NewRemoteCoordinator(o.coordURL),

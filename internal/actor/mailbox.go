@@ -26,9 +26,6 @@ type mailbox struct {
 
 	// scheduler state: 0 idle, 1 running/scheduled
 	scheduled int32
-	// suspended: while non-zero, user messages are not processed
-	// (supervision uses this between a panic and the restart decision).
-	suspended int32
 
 	length int64 // total queued user messages, for metrics/backpressure
 
@@ -131,14 +128,20 @@ func (m *mailbox) popUser() (envelope, bool) {
 	return m.userR[0], true
 }
 
-// empty reports whether both lanes are drained.
-func (m *mailbox) empty() bool {
-	if m.userRPos < len(m.userR) || m.sysRPos < len(m.sysR) {
-		return false
-	}
+// buffered reports whether the consumer's drained read buffers still
+// hold messages. Only the goroutine holding the schedule token may call
+// it: the cursors are consumer-owned.
+func (m *mailbox) buffered() bool {
+	return m.userRPos < len(m.userR) || m.sysRPos < len(m.sysR)
+}
+
+// pending reports whether producers have queued messages the consumer
+// has not yet swapped in. It reads only producer-side state, so it is
+// safe after setIdle, when another run may already be consuming.
+func (m *mailbox) pending() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.userW) == 0 && len(m.sysW) == 0
+	return len(m.userW) > 0 || len(m.sysW) > 0
 }
 
 // Len returns the number of queued user messages.
@@ -152,9 +155,3 @@ func (m *mailbox) trySchedule() bool {
 
 // setIdle marks the mailbox idle; the next push will reschedule.
 func (m *mailbox) setIdle() { atomic.StoreInt32(&m.scheduled, 0) }
-
-func (m *mailbox) suspend() { atomic.StoreInt32(&m.suspended, 1) }
-func (m *mailbox) resume()  { atomic.StoreInt32(&m.suspended, 0) }
-func (m *mailbox) isSuspended() bool {
-	return atomic.LoadInt32(&m.suspended) == 1
-}

@@ -73,20 +73,38 @@ func (p *process) schedule() {
 	}
 }
 
-// run drains the mailbox until it is empty, yielding the goroutine
-// between batches so one hot actor cannot starve the scheduler.
+// run drains the mailbox until it is empty. The consumer-side cursors
+// are only read while this goroutine holds the schedule token; once it
+// has released the token (setIdle) a new run may already be popping, so
+// the re-check looks at producer-side state only. A sender can pass the
+// dead check just before the actor dies and push after doStop's flush:
+// every run that sees the actor dead therefore flushes the user lane
+// again, so such a message is dead-lettered rather than stranded.
 func (p *process) run() {
 	for {
 		p.processBatch()
-		p.mb.setIdle()
-		if p.mb.empty() || atomic.LoadInt32(&p.dead) == 1 {
-			return
+		if atomic.LoadInt32(&p.dead) == 1 {
+			p.flushUser()
+		} else if p.mb.buffered() {
+			continue // throughput spent with drained work still in hand
 		}
+		p.mb.setIdle()
 		// Work arrived between the drain and setIdle; try to take the
 		// mailbox back. Losing the race means another goroutine has it.
-		if !p.mb.trySchedule() {
+		if !p.mb.pending() || !p.mb.trySchedule() {
 			return
 		}
+	}
+}
+
+// flushUser routes every queued user message to dead letters.
+func (p *process) flushUser() {
+	for {
+		e, ok := p.mb.popUser()
+		if !ok {
+			return
+		}
+		p.system.deadLetter(p.pid, e.message, e.sender)
 	}
 }
 
@@ -100,7 +118,7 @@ func (p *process) processBatch() {
 			p.handleSystem(msg)
 			continue
 		}
-		if atomic.LoadInt32(&p.dead) == 1 || p.mb.isSuspended() {
+		if atomic.LoadInt32(&p.dead) == 1 {
 			return
 		}
 		e, ok := p.mb.popUser()
@@ -117,8 +135,6 @@ func (p *process) handleSystem(msg any) {
 		p.invokeLifecycle(Started{})
 	case sysStop:
 		p.doStop()
-	case sysResumed:
-		p.mb.resume()
 	}
 }
 
@@ -229,13 +245,7 @@ func (p *process) doStop() {
 	atomic.AddUint64(&p.system.stats.ActorsStopped, 1)
 
 	// Flush whatever is still queued to dead letters.
-	for {
-		e, ok := p.mb.popUser()
-		if !ok {
-			break
-		}
-		p.system.deadLetter(p.pid, e.message, e.sender)
-	}
+	p.flushUser()
 	close(p.done)
 }
 

@@ -101,6 +101,56 @@ func TestGetOrSpawnConcurrentSpawnPassivate(t *testing.T) {
 	}
 }
 
+// TestSendBatchDuringStopLosesNothing floods one actor from several
+// producers while it is being stopped: every message is processed or
+// dead-lettered, including those whose sender passed the dead check just
+// before the stop flushed the mailbox. Run it under -race.
+func TestSendBatchDuringStopLosesNothing(t *testing.T) {
+	sys := NewSystem("stopflood")
+	defer sys.Shutdown(2 * time.Second)
+
+	const rounds, producers, batches, batchLen = 50, 4, 50, 8
+	var processed atomic.Int64
+	props := PropsOf(func(c *Context) {
+		if _, ok := c.Message().(int); ok {
+			processed.Add(1)
+		}
+	})
+	msgs := make([]any, batchLen)
+	for i := range msgs {
+		msgs[i] = i
+	}
+	var sent int64
+	for r := 0; r < rounds; r++ {
+		pid := sys.Spawn(props)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < producers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for b := 0; b < batches; b++ {
+					sys.SendBatch(pid, msgs)
+				}
+			}()
+		}
+		close(start)
+		sys.Stop(pid)
+		wg.Wait()
+		sent += producers * batches * batchLen
+	}
+
+	accounted := func() int64 { return processed.Load() + int64(sys.StatsSnapshot().DeadLetters) }
+	for deadline := time.Now().Add(5 * time.Second); accounted() != sent && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := accounted(); got != sent {
+		t.Fatalf("messages lost: sent %d, processed %d + dead-lettered %d = %d",
+			sent, processed.Load(), sys.StatsSnapshot().DeadLetters, got)
+	}
+}
+
 // TestSingleShardSystemBehaves checks the shards=1 baseline (the
 // pre-sharding global lock) still provides the same semantics.
 func TestSingleShardSystemBehaves(t *testing.T) {

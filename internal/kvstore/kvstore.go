@@ -464,23 +464,6 @@ func (s *Store) ZRangeByScore(key string, min, max float64) ([]ZMember, error) {
 	return e.zset.rangeByScore(min, max), nil
 }
 
-// ZRevRangeByScore returns up to limit members with min <= score <= max
-// in descending score order (limit <= 0 = unbounded). It is the bounded
-// read the API's newest-first queries want: a limit-k query over a
-// 170K-member active-vessel index copies k members, not the whole set.
-func (s *Store) ZRevRangeByScore(key string, min, max float64, limit int) ([]ZMember, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.live(key)
-	if !ok {
-		return nil, nil
-	}
-	if e.kind != kindZSet {
-		return nil, ErrWrongType
-	}
-	return e.zset.revRangeByScore(min, max, limit), nil
-}
-
 // Publish delivers payload to every subscriber of channel, returning
 // the number of receivers. Slow subscribers drop messages rather than
 // block the publisher (the writer actor must never stall on a reader).

@@ -204,41 +204,6 @@ func TestZRangeByScoreBounds(t *testing.T) {
 	}
 }
 
-func TestZRevRangeByScoreLimit(t *testing.T) {
-	s := New()
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		s.ZAdd("z", float64(i), fmt.Sprintf("m%d", i))
-	}
-	got, err := s.ZRevRangeByScore("z", 0, 1000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Member != "m9" || got[1].Member != "m8" || got[2].Member != "m7" {
-		t.Fatalf("rev limit 3 = %v", got)
-	}
-	// limit <= 0 returns the whole matching range, descending.
-	all, _ := s.ZRevRangeByScore("z", 0, 1000, 0)
-	if len(all) != 10 || all[0].Member != "m9" || all[9].Member != "m0" {
-		t.Fatalf("rev unbounded = %v", all)
-	}
-	// Score bounds stay inclusive on both ends.
-	mid, _ := s.ZRevRangeByScore("z", 3, 6, 0)
-	if len(mid) != 4 || mid[0].Score != 6 || mid[3].Score != 3 {
-		t.Fatalf("rev bounded = %v", mid)
-	}
-	if empty, _ := s.ZRevRangeByScore("z", 100, 200, 5); empty != nil {
-		t.Fatalf("out-of-range must be empty, got %v", empty)
-	}
-	if missing, _ := s.ZRevRangeByScore("nope", 0, 1, 5); missing != nil {
-		t.Fatalf("missing key must be empty, got %v", missing)
-	}
-	s.Set("str", "x")
-	if _, err := s.ZRevRangeByScore("str", 0, 1, 5); err != ErrWrongType {
-		t.Fatalf("wrong type error = %v", err)
-	}
-}
-
 func TestZSetOrderingPropertyBased(t *testing.T) {
 	f := func(scores []float64) bool {
 		z := newZSet()

@@ -84,24 +84,3 @@ func (z *zset) rangeByScore(min, max float64) []ZMember {
 	copy(out, z.ordered[lo:hi])
 	return out
 }
-
-// revRangeByScore returns up to limit members with min <= score <= max
-// in descending score order. limit <= 0 means no limit. Unlike
-// rangeByScore it never materialises more than limit members, so a
-// bounded read of a huge set stays O(limit) in memory.
-func (z *zset) revRangeByScore(min, max float64, limit int) []ZMember {
-	lo := sort.Search(len(z.ordered), func(i int) bool { return z.ordered[i].Score >= min })
-	hi := sort.Search(len(z.ordered), func(i int) bool { return z.ordered[i].Score > max })
-	if lo >= hi {
-		return nil
-	}
-	n := hi - lo
-	if limit > 0 && n > limit {
-		n = limit
-	}
-	out := make([]ZMember, 0, n)
-	for i := hi - 1; i >= lo && len(out) < n; i-- {
-		out = append(out, z.ordered[i])
-	}
-	return out
-}

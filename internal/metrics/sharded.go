@@ -9,13 +9,12 @@ import (
 )
 
 // This file holds the striped (sharded) observability primitives of the
-// hot message path. The single-mutex LatencyRecorder and Counter above
-// serialise every observation system-wide; at the paper's Figure 6
-// scale (170K+ live vessel actors reporting concurrently) that lock is
-// a global contention point. The sharded variants spread observations
-// over padded per-shard slots — callers pass a cheap routing hint (the
-// MMSI, a hash, any stable integer) — and merge only when a snapshot is
-// taken.
+// hot message path. A single mutex would serialise every observation
+// system-wide; at the paper's Figure 6 scale (170K+ live vessel actors
+// reporting concurrently) that lock is a global contention point. These
+// spread observations over padded per-shard slots — callers pass a
+// cheap routing hint (the MMSI, a hash, any stable integer) — and merge
+// only when a snapshot is taken.
 
 // mix64 is the SplitMix64 finalizer: it spreads low-entropy hints
 // (sequential MMSIs, small worker ids) over the full word so the shard
@@ -156,8 +155,9 @@ func (sh *latencyShard) observe(d time.Duration) {
 	sh.mu.Unlock()
 }
 
-// ShardedLatencyRecorder is the striped counterpart of LatencyRecorder:
-// observations take only their shard's mutex, and Snapshot merges the
+// ShardedLatencyRecorder keeps exact samples up to a capacity, then
+// overwrites them ring-style so quantiles reflect recent behaviour.
+// Observations take only their shard's mutex, and Snapshot merges the
 // shards (concatenating the sample rings before computing quantiles).
 type ShardedLatencyRecorder struct {
 	shards []latencyShard
@@ -165,8 +165,8 @@ type ShardedLatencyRecorder struct {
 }
 
 // NewShardedLatencyRecorder stripes up to capacity exact samples over
-// the given number of shards (both rounded up / defaulted as in the
-// unsharded recorder).
+// the given number of shards (rounded up to a power of two; <=0 selects
+// the default; capacity <=0 selects 1<<16).
 func NewShardedLatencyRecorder(shards, capacity int) *ShardedLatencyRecorder {
 	if shards <= 0 {
 		shards = defaultShards

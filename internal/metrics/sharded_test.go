@@ -145,3 +145,17 @@ func TestShardedLatencyRecorderConcurrent(t *testing.T) {
 		t.Fatalf("Mean = %v, want 1ms", s.Mean)
 	}
 }
+
+func TestShardedLatencyRecorderOverCapacity(t *testing.T) {
+	l := NewShardedLatencyRecorder(4, 16)
+	for i := 0; i < 1000; i++ {
+		l.Observe(uint64(i), time.Duration(i)*time.Microsecond)
+	}
+	s := l.Snapshot()
+	if s.Count != 1000 {
+		t.Fatalf("Count = %d, want 1000", s.Count)
+	}
+	if s.P50 <= 0 {
+		t.Fatal("quantiles must remain usable past capacity")
+	}
+}

@@ -247,26 +247,11 @@ func (v *vesselActor) emitEvent(c *actor.Context, e events.Event, _ any) {
 	c.Send(v.p.writerFor(e.A), eventMsg{event: e})
 }
 
-// proximityDetector is the surface a cell actor drives: both the
-// map-scan oracle and the micro-grid fast path satisfy it, selected by
-// Config.UseScanDetectors (the grid is the default).
-type proximityDetector interface {
-	Update(mmsi ais.MMSI, pos geo.Point, at time.Time) []events.Event
-	Size() int
-}
-
-// collisionDetector is the same for the collision actors.
-type collisionDetector interface {
-	Update(f events.Forecast, now time.Time) []events.Event
-	Size() int
-}
-
 // cellActor detects live close proximity among the vessels reporting
 // inside its hexgrid cell neighbourhood.
 type cellActor struct {
 	p          *Pipeline
-	detector   proximityDetector
-	grid       *events.GridProximityDetector // non-nil on the fast path
+	detector   *events.GridProximityDetector
 	passivator *passivator
 
 	// Metric bookkeeping: the detector's stats are cumulative and its
@@ -312,16 +297,12 @@ func (a *cellActor) Receive(c *actor.Context) {
 }
 
 // pushDetectorStats folds the update's effect into the pipeline-wide
-// aggregates: the occupancy delta always, the candidate funnel only on
-// the grid path (the scan oracle does not track it).
+// aggregates: the occupancy delta and the candidate funnel.
 func (a *cellActor) pushDetectorStats() {
 	size := int64(a.detector.Size())
 	a.p.proxDet.tracked.Inc(a.hint, size-a.tracked)
 	a.tracked = size
-	if a.grid == nil {
-		return
-	}
-	st := a.grid.Stats()
+	st := a.detector.Stats()
 	a.p.proxDet.candidates.Inc(a.hint, st.Candidates-a.lastStats.Candidates)
 	a.p.proxDet.checked.Inc(a.hint, st.Checked-a.lastStats.Checked)
 	a.p.proxDet.evictions.Inc(a.hint, st.Evicted-a.lastStats.Evicted)
@@ -332,8 +313,7 @@ func (a *cellActor) pushDetectorStats() {
 // crossing its cell.
 type collisionActor struct {
 	p          *Pipeline
-	detector   collisionDetector
-	grid       *events.GridDetector // non-nil on the fast path
+	detector   *events.GridDetector
 	passivator *passivator
 
 	tracked   int64
@@ -381,10 +361,7 @@ func (a *collisionActor) pushDetectorStats() {
 	size := int64(a.detector.Size())
 	a.p.collDet.tracked.Inc(a.hint, size-a.tracked)
 	a.tracked = size
-	if a.grid == nil {
-		return
-	}
-	st := a.grid.Stats()
+	st := a.detector.Stats()
 	a.p.collDet.candidates.Inc(a.hint, st.Candidates-a.lastStats.Candidates)
 	a.p.collDet.checked.Inc(a.hint, st.Checked-a.lastStats.Checked)
 	a.p.collDet.evictions.Inc(a.hint, st.Evicted-a.lastStats.Evicted)
@@ -475,20 +452,18 @@ func (w *writerActor) writeState(m stateMsg) {
 			Forecast: m.forecast,
 		})
 	}
-	if v := w.p.cfg.Views; v != nil {
-		// The read-side views stage the state in a sharded buffer; the
-		// snapshot rebuild happens on the views' own refresh cadence, so
-		// this is a few field copies plus one stripe lock — never a
-		// snapshot encode on the writer's hot path.
-		v.ApplyState(views.VesselState{
-			MMSI: m.report.MMSI, Name: static.Name,
-			Lat: m.report.Lat, Lon: m.report.Lon,
-			SOG: m.report.SOG, COG: m.report.COG,
-			Status:   m.report.Status.String(),
-			TS:       m.report.Timestamp,
-			Forecast: m.forecast,
-		})
-	}
+	// The read-side views stage the state in a sharded buffer; the
+	// snapshot rebuild happens on the views' own refresh cadence, so this
+	// is a few field copies plus one stripe lock — never a snapshot
+	// encode on the writer's hot path.
+	w.p.views.ApplyState(views.VesselState{
+		MMSI: m.report.MMSI, Name: static.Name,
+		Lat: m.report.Lat, Lon: m.report.Lon,
+		SOG: m.report.SOG, COG: m.report.COG,
+		Status:   m.report.Status.String(),
+		TS:       m.report.Timestamp,
+		Forecast: m.forecast,
+	})
 	// One batched write per state update — a single lock acquisition on
 	// the store — with the whole document encoded into the writer's
 	// reused field encoder: every value is appended into one shared
@@ -539,9 +514,7 @@ func (w *writerActor) writeEvent(e events.Event) {
 	if w.p.cfg.Feed != nil {
 		w.p.system.Events().Publish(e)
 	}
-	if v := w.p.cfg.Views; v != nil {
-		v.ApplyEvent(e)
-	}
+	w.p.views.ApplyEvent(e)
 	// The member is byte-appended into the writer's reused buffer —
 	// the format matches the fmt.Sprintf("%s|%s|%s|%.0fm|%s") it
 	// replaces, including the MMSIs' 9-digit padding.

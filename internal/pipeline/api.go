@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,8 +17,9 @@ import (
 	"seatwin/internal/lvrf"
 )
 
-// API is the middleware HTTP layer of Figure 2: it reads the state the
-// writer actors persisted into the kvstore and serves it to the UI.
+// API is the middleware HTTP layer of Figure 2: it serves the UI the
+// state the writer actors published — lists and rollups from the views'
+// snapshots, single-vessel documents from the kvstore.
 type API struct {
 	p   *Pipeline
 	srv *http.Server
@@ -170,21 +170,19 @@ func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"collision": detectionDoc(s.CollisionDetection),
 		},
 	}
-	if v := a.p.cfg.Views; v != nil {
-		vs := v.Stats()
-		doc["views"] = map[string]any{
-			"epoch":          vs.Epoch,
-			"epoch_age":      vs.EpochAge.String(),
-			"refreshes":      vs.Refreshes,
-			"states_applied": vs.StatesApplied,
-			"events_applied": vs.EventsApplied,
-			"refresh_mean":   vs.RefreshMean.String(),
-			"refresh_p99":    vs.RefreshP99.String(),
-			"snapshot_bytes": vs.SnapshotBytes,
-			"vessels":        vs.Vessels,
-			"cells":          vs.Cells,
-			"events_window":  vs.EventsWindow,
-		}
+	vs := a.p.views.Stats()
+	doc["views"] = map[string]any{
+		"epoch":          vs.Epoch,
+		"epoch_age":      vs.EpochAge.String(),
+		"refreshes":      vs.Refreshes,
+		"states_applied": vs.StatesApplied,
+		"events_applied": vs.EventsApplied,
+		"refresh_mean":   vs.RefreshMean.String(),
+		"refresh_p99":    vs.RefreshP99.String(),
+		"snapshot_bytes": vs.SnapshotBytes,
+		"vessels":        vs.Vessels,
+		"cells":          vs.Cells,
+		"events_window":  vs.EventsWindow,
 	}
 	if hub := a.p.cfg.Feed; hub != nil {
 		if rs := hub.RelayStats(); rs.Relays > 0 {
@@ -340,61 +338,18 @@ func (a *API) handleVessels(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if v := a.p.cfg.Views; v != nil {
-		// Materialized-view path: one atomic snapshot load, pre-encoded
-		// JSON straight onto the wire — no store scan, no locks, no
-		// per-request allocation.
-		w.Header().Set("Content-Type", "application/json")
-		snap := v.Vessels()
-		if _, err := snap.WriteJSON(w, limit, box); err != nil {
-			log.Printf("api: write vessels view: %v", err)
-		}
-		return
+	// One atomic snapshot load, pre-encoded JSON straight onto the wire —
+	// no store scan, no locks, no per-request allocation.
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := a.p.views.Vessels().WriteJSON(w, limit, box); err != nil {
+		log.Printf("api: write vessels view: %v", err)
 	}
-	// Legacy kvstore path: walk the active index newest-first, bounded.
-	// Without a box the scan reads exactly `limit` members; with one it
-	// over-scans by a capped factor (a box can reject most candidates)
-	// rather than the whole index — a 170k-vessel store must never be
-	// materialised for one request.
-	scanCap := limit
-	if box != nil {
-		scanCap = limit * 16
-		if scanCap > 16384 {
-			scanCap = 16384
-		}
-	}
-	members, err := a.p.store.ZRevRangeByScore("vessels:active", 0, 1e18, scanCap)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	out := make([]vesselJSON, 0, limit)
-	for _, m := range members { // already newest first
-		if len(out) >= limit {
-			break
-		}
-		doc, ok := a.vesselDoc(m.Member)
-		if !ok {
-			continue
-		}
-		if box != nil && !box.Contains(geo.Point{Lat: doc.Lat, Lon: doc.Lon}) {
-			continue
-		}
-		out = append(out, doc)
-	}
-	writeJSON(w, out)
 }
 
-// handleRegions serves the per-hex-cell traffic rollup. The view is
-// the only producer of this aggregate — 404 when views are disabled.
+// handleRegions serves the per-hex-cell traffic rollup.
 func (a *API) handleRegions(w http.ResponseWriter, _ *http.Request) {
-	v := a.p.cfg.Views
-	if v == nil {
-		http.Error(w, "materialized views not configured", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := v.Regions().WriteJSON(w); err != nil {
+	if err := a.p.views.Regions().WriteJSON(w); err != nil {
 		log.Printf("api: write regions view: %v", err)
 	}
 }
@@ -414,37 +369,10 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if v := a.p.cfg.Views; v != nil {
-		w.Header().Set("Content-Type", "application/json")
-		if _, err := v.Events().WriteJSON(w, limit); err != nil {
-			log.Printf("api: write events view: %v", err)
-		}
-		return
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := a.p.views.Events().WriteJSON(w, limit); err != nil {
+		log.Printf("api: write events view: %v", err)
 	}
-	evs := a.p.log.Recent(limit)
-	type eventJSON struct {
-		Kind   string  `json:"kind"`
-		A      string  `json:"a"`
-		B      string  `json:"b,omitempty"`
-		At     string  `json:"at"`
-		Lat    float64 `json:"lat"`
-		Lon    float64 `json:"lon"`
-		Meters float64 `json:"meters,omitempty"`
-	}
-	out := make([]eventJSON, 0, len(evs))
-	for _, e := range evs {
-		ej := eventJSON{
-			Kind: string(e.Kind), A: e.A.String(),
-			At:  e.At.UTC().Format(time.RFC3339),
-			Lat: e.Pos.Lat, Lon: e.Pos.Lon, Meters: e.Meters,
-		}
-		if e.B != 0 {
-			ej.B = e.B.String()
-		}
-		out = append(out, ej)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	writeJSON(w, out)
 }
 
 // handleRoute serves the L-VRF long-term route forecast and Patterns
@@ -518,42 +446,17 @@ func (a *API) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleCongestion(w http.ResponseWriter, _ *http.Request) {
-	mon := a.p.Congestion()
-	if mon == nil {
+	if a.p.Congestion() == nil {
 		http.Error(w, "port monitoring not configured", http.StatusNotFound)
 		return
 	}
-	if v := a.p.cfg.Views; v != nil {
-		// The rollup was evaluated on the last refresh; serving it is one
-		// atomic load and one write (the per-request monitor Snapshot —
-		// a global lock — is what this path removes).
-		w.Header().Set("Content-Type", "application/json")
-		if err := v.Congestion().WriteJSON(w); err != nil {
-			log.Printf("api: write congestion view: %v", err)
-		}
-		return
+	// The rollup was evaluated on the last refresh; serving it is one
+	// atomic load and one write, never a per-request monitor Snapshot (a
+	// global lock).
+	w.Header().Set("Content-Type", "application/json")
+	if err := a.p.views.Congestion().WriteJSON(w); err != nil {
+		log.Printf("api: write congestion view: %v", err)
 	}
-	type portJSON struct {
-		Port      string  `json:"port"`
-		Lat       float64 `json:"lat"`
-		Lon       float64 `json:"lon"`
-		Capacity  int     `json:"capacity"`
-		Present   int     `json:"present"`
-		Arriving  int     `json:"arriving"`
-		Peak      int     `json:"peak_predicted"`
-		Congested bool    `json:"congested"`
-	}
-	snap := mon.Snapshot(time.Time{}) // zero = newest observed (sim time)
-	out := make([]portJSON, 0, len(snap))
-	for _, s := range snap {
-		out = append(out, portJSON{
-			Port: s.Port.Name, Lat: s.Port.Pos.Lat, Lon: s.Port.Pos.Lon,
-			Capacity: s.Port.Capacity, Present: s.Present,
-			Arriving: s.Arriving, Peak: s.PeakPredicted,
-			Congested: s.Congested(),
-		})
-	}
-	writeJSON(w, out)
 }
 
 // handleMetrics exposes the pipeline counters in the Prometheus text
@@ -639,24 +542,22 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			counter("seatwin_feed_relay_fanned_total", "frame deliveries enqueued to relay-local rings", float64(rs.Fanned))
 		}
 	}
-	if v := a.p.cfg.Views; v != nil {
-		vs := v.Stats()
-		gauge("seatwin_views_epoch", "current materialized-view epoch", float64(vs.Epoch))
-		gauge("seatwin_views_epoch_age_seconds", "age of the serving snapshots", vs.EpochAge.Seconds())
-		counter("seatwin_views_refreshes_total", "snapshot rebuild-and-swap cycles", float64(vs.Refreshes))
-		counter("seatwin_views_states_applied_total", "vessel state deltas staged into the views", float64(vs.StatesApplied))
-		counter("seatwin_views_events_applied_total", "events staged into the views", float64(vs.EventsApplied))
-		gauge("seatwin_views_refresh_mean_seconds", "mean snapshot rebuild latency", vs.RefreshMean.Seconds())
-		gauge("seatwin_views_refresh_p99_seconds", "p99 snapshot rebuild latency", vs.RefreshP99.Seconds())
-		gauge("seatwin_views_snapshot_bytes", "pre-encoded bytes across current snapshots", float64(vs.SnapshotBytes))
-		gauge("seatwin_views_vessels", "vessels in the current world-view snapshot", float64(vs.Vessels))
-		gauge("seatwin_views_cells", "hex cells in the current region snapshot", float64(vs.Cells))
-		gauge("seatwin_views_events_window", "events in the current recent-events window", float64(vs.EventsWindow))
-		if hub := a.p.cfg.Feed; hub != nil {
-			counter("seatwin_views_relay_conflation_drops_total",
-				"upstream frames conflated away or evicted in relay tiers before local fan-out",
-				float64(hub.RelayStats().ConflationDrops))
-		}
+	vs := a.p.views.Stats()
+	gauge("seatwin_views_epoch", "current materialized-view epoch", float64(vs.Epoch))
+	gauge("seatwin_views_epoch_age_seconds", "age of the serving snapshots", vs.EpochAge.Seconds())
+	counter("seatwin_views_refreshes_total", "snapshot rebuild-and-swap cycles", float64(vs.Refreshes))
+	counter("seatwin_views_states_applied_total", "vessel state deltas staged into the views", float64(vs.StatesApplied))
+	counter("seatwin_views_events_applied_total", "events staged into the views", float64(vs.EventsApplied))
+	gauge("seatwin_views_refresh_mean_seconds", "mean snapshot rebuild latency", vs.RefreshMean.Seconds())
+	gauge("seatwin_views_refresh_p99_seconds", "p99 snapshot rebuild latency", vs.RefreshP99.Seconds())
+	gauge("seatwin_views_snapshot_bytes", "pre-encoded bytes across current snapshots", float64(vs.SnapshotBytes))
+	gauge("seatwin_views_vessels", "vessels in the current world-view snapshot", float64(vs.Vessels))
+	gauge("seatwin_views_cells", "hex cells in the current region snapshot", float64(vs.Cells))
+	gauge("seatwin_views_events_window", "events in the current recent-events window", float64(vs.EventsWindow))
+	if hub := a.p.cfg.Feed; hub != nil {
+		counter("seatwin_views_relay_conflation_drops_total",
+			"upstream frames conflated away or evicted in relay tiers before local fan-out",
+			float64(hub.RelayStats().ConflationDrops))
 	}
 	if in := a.p.cfg.Chaos; in != nil {
 		cs := in.Stats()

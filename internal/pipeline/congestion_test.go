@@ -58,7 +58,8 @@ func TestPortCongestionThroughPipeline(t *testing.T) {
 		t.Fatal("4 predicted vessels over capacity 2 must flag congestion")
 	}
 
-	// And over the API.
+	// And over the API, which serves the rollup of the last refresh.
+	p.Views().Refresh()
 	api := NewAPI(p)
 	rec := httptest.NewRecorder()
 	api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/congestion", nil))

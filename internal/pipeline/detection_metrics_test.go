@@ -114,34 +114,3 @@ func TestDetectionTrackedGaugeDropsOnPassivation(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
-
-// The scan oracles stay selectable and fully wired: identical events,
-// update timing and occupancy still recorded (the candidate funnel is
-// grid-only by design).
-func TestScanDetectorOptOut(t *testing.T) {
-	cfg := DefaultConfig(events.NewKinematicForecaster())
-	cfg.UseScanDetectors = true
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown(2 * time.Second)
-
-	feedClosePair(p, t0)
-	p.Drain(5 * time.Second)
-	if len(p.EventLog().ByKind(events.KindProximity)) == 0 {
-		t.Fatal("scan path produced no proximity event")
-	}
-	s := p.Stats()
-	if s.ProximityDetection.UpdateLatency.Count == 0 || s.CollisionDetection.UpdateLatency.Count == 0 {
-		t.Fatal("scan path updates not timed")
-	}
-	if s.ProximityDetection.Tracked <= 0 || s.CollisionDetection.Tracked <= 0 {
-		t.Fatalf("scan path occupancy gauges not maintained: prox=%d coll=%d",
-			s.ProximityDetection.Tracked, s.CollisionDetection.Tracked)
-	}
-	if s.ProximityDetection.Candidates != 0 || s.CollisionDetection.Candidates != 0 {
-		t.Fatalf("scan oracle unexpectedly reported grid funnel stats: %+v / %+v",
-			s.ProximityDetection, s.CollisionDetection)
-	}
-}

@@ -6,7 +6,8 @@
 // (close-proximity detection, grid size M) and collision actors
 // (collision forecasting, grid size K) keyed by hexgrid cell; all actor
 // outputs flow to writer actors that persist state into the kvstore
-// middleware, from which the HTTP API serves the UI.
+// middleware and the read-side views, from which the HTTP API serves
+// the UI.
 package pipeline
 
 import (
@@ -47,12 +48,6 @@ type Config struct {
 	Collision events.CollisionConfig
 	Proximity events.ProximityConfig
 	SwitchOff events.SwitchOffConfig
-	// UseScanDetectors reverts the cell and collision actors to the
-	// original map-scan detectors instead of the spatial micro-grid fast
-	// paths (see DESIGN.md §16). The scan detectors are kept as parity
-	// oracles and for A/B benchmarking; event output is identical on
-	// either path, only the per-report cost differs.
-	UseScanDetectors bool
 	// HistoryLimit bounds the reports retained per vessel actor; it
 	// must cover the model's input requirement with margin.
 	HistoryLimit int
@@ -86,14 +81,14 @@ type Config struct {
 	// deployment attach the hub to the output topics instead with
 	// feed.Hub.ConsumeLoop and DecodeFeedRecord.
 	Feed *feed.Hub
-	// Views, when non-nil, is the read-side serving layer: the writer
-	// actors publish every vessel state and event into it, and the API
-	// serves /api/vessels, /api/events, /api/regions and /api/congestion
-	// from its epoch-swapped snapshots instead of scanning the kvstore
-	// per request (see internal/views). The pipeline wires the
-	// congestion monitor in as the views' congestion source when Ports
-	// is also set. The caller owns the Views' lifecycle (Close it after
-	// Shutdown). Nil keeps the kvstore-backed read path unchanged.
+	// Views is the read-side serving layer: the writer actors publish
+	// every vessel state and event into it, and the API serves
+	// /api/vessels, /api/events, /api/regions and /api/congestion from
+	// its epoch-swapped snapshots (see internal/views). The pipeline
+	// wires the congestion monitor in as the views' congestion source
+	// when Ports is also set. A caller-provided Views stays the caller's
+	// (Close it after Shutdown); nil makes the pipeline build one with
+	// views.Config defaults and close it in Shutdown.
 	Views *views.Views
 	// OutputBroker, when non-nil, receives dedicated output streams —
 	// the §7 plan to "leverage Kafka topics to produce streams of
@@ -169,6 +164,7 @@ type Pipeline struct {
 	system *actor.System
 	store  *kvstore.Store
 	kv     stateStore // fault-injectable write path over store
+	views  *views.Views
 	retryP retry.Policy
 	log    *events.Log
 
@@ -343,7 +339,7 @@ func (p *Pipeline) shouldEmitPair(key string, at time.Time, window time.Duration
 
 // New builds and starts the actor topology (writers only; vessel and
 // cell actors materialise on first contact).
-func New(cfg Config) (*Pipeline, error) {
+func New(cfg Config) (_ *Pipeline, err error) {
 	if cfg.Forecaster == nil {
 		return nil, fmt.Errorf("pipeline: a forecaster is required")
 	}
@@ -373,10 +369,20 @@ func New(cfg Config) (*Pipeline, error) {
 	if store == nil {
 		store = kvstore.New()
 	}
+	vw := cfg.Views
+	if vw == nil {
+		vw = views.New(views.Config{})
+		defer func() {
+			if err != nil {
+				vw.Close() // stop the refresher of views no caller will close
+			}
+		}()
+	}
 	p := &Pipeline{
 		cfg:         cfg,
 		system:      actor.NewSystem("seatwin"),
 		store:       store,
+		views:       vw,
 		log:         events.NewLog(1 << 14),
 		latency:     metrics.NewShardedLatencyRecorder(0, 1<<15),
 		inferLat:    metrics.NewShardedLatencyRecorder(0, 1<<15),
@@ -421,9 +427,9 @@ func New(cfg Config) (*Pipeline, error) {
 	if len(cfg.Ports) > 0 {
 		p.congestion = congestion.NewMonitor(cfg.Ports, 0)
 	}
-	if cfg.Views != nil && p.congestion != nil {
+	if p.congestion != nil {
 		mon := p.congestion
-		cfg.Views.SetCongestionSource(func() []congestion.Status {
+		vw.SetCongestionSource(func() []congestion.Status {
 			return mon.Snapshot(time.Time{}) // zero = newest observed (sim time)
 		})
 	}
@@ -888,20 +894,11 @@ func (p *Pipeline) proximityActor(cell hexgrid.Cell) *actor.PID {
 
 func (p *Pipeline) proximityActorSlow(cell hexgrid.Cell) *actor.PID {
 	pid, _ := p.system.GetOrSpawn(proximityActorName(cell), actor.PropsFromProducer(func() actor.Actor {
-		a := &cellActor{
+		return &cellActor{
 			p:          p,
+			detector:   events.NewGridProximityDetector(p.cfg.Proximity),
 			passivator: newPassivator(p.idleTimeout()),
 		}
-		// The micro-grid fast path is the default; the map-scan oracle
-		// stays selectable for A/B runs (the grid pointer also gates the
-		// candidate-funnel stats, which only the grid detector tracks).
-		if p.cfg.UseScanDetectors {
-			a.detector = events.NewProximityDetector(p.cfg.Proximity)
-		} else {
-			a.grid = events.NewGridProximityDetector(p.cfg.Proximity)
-			a.detector = a.grid
-		}
-		return a
 	}))
 	p.proximityRoutes.put(uint64(cell), pid)
 	return pid
@@ -918,17 +915,11 @@ func (p *Pipeline) collisionActor(cell hexgrid.Cell) *actor.PID {
 
 func (p *Pipeline) collisionActorSlow(cell hexgrid.Cell) *actor.PID {
 	pid, _ := p.system.GetOrSpawn(collisionActorName(cell), actor.PropsFromProducer(func() actor.Actor {
-		a := &collisionActor{
+		return &collisionActor{
 			p:          p,
+			detector:   events.NewGridDetector(p.cfg.Collision, 10*time.Minute),
 			passivator: newPassivator(p.idleTimeout()),
 		}
-		if p.cfg.UseScanDetectors {
-			a.detector = events.NewDetector(p.cfg.Collision, 10*time.Minute)
-		} else {
-			a.grid = events.NewGridDetector(p.cfg.Collision, 10*time.Minute)
-			a.detector = a.grid
-		}
-		return a
 	}))
 	p.collisionRoutes.put(uint64(cell), pid)
 	return pid
@@ -1176,14 +1167,18 @@ func (p *Pipeline) Shutdown(timeout time.Duration) {
 	if p.cfg.Store == nil {
 		p.store.Close()
 	}
+	if p.cfg.Views == nil {
+		p.views.Close()
+	}
 }
 
 // Feed returns the live-feed hub, or nil when not configured.
 func (p *Pipeline) Feed() *feed.Hub { return p.cfg.Feed }
 
-// Views returns the read-side serving layer, or nil when not
-// configured.
-func (p *Pipeline) Views() *views.Views { return p.cfg.Views }
+// Views returns the read-side serving layer; never nil. It is
+// Config.Views when one was provided (the caller closes it), else the
+// pipeline's own, which Shutdown closes.
+func (p *Pipeline) Views() *views.Views { return p.views }
 
 // DecodeFeedRecord converts one record of the seatwin-states /
 // seatwin-events output topics into a feed hub input — the adapter for

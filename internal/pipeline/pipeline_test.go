@@ -249,6 +249,8 @@ func TestAPIEndpoints(t *testing.T) {
 	if rec := get("/api/vessels/000000000"); rec.Code != 404 {
 		t.Fatalf("unknown vessel -> %d", rec.Code)
 	}
+	// Lists and events are served from the views' snapshots.
+	p.Views().Refresh()
 	rec = get("/api/vessels?limit=10")
 	var list []map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {

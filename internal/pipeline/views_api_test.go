@@ -209,21 +209,44 @@ func TestViewsStalenessAfterNewReports(t *testing.T) {
 	}
 }
 
-// TestRegionsWithoutViews: the rollup endpoint is views-only.
-func TestRegionsWithoutViews(t *testing.T) {
+// TestPipelineOwnedViews: without Config.Views the pipeline serves from
+// views of its own, and Shutdown closes only those — a caller-provided
+// Views keeps refreshing after the pipeline that used it is gone.
+func TestPipelineOwnedViews(t *testing.T) {
 	p := newTestPipeline(t)
-	api := NewAPI(p)
+	if p.Views() == nil {
+		t.Fatal("pipeline without Config.Views has no views")
+	}
 	rec := httptest.NewRecorder()
-	api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/regions", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("/api/regions without views: %d, want 404", rec.Code)
+	NewAPI(p).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/regions", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/api/regions without Config.Views: %d, want 200", rec.Code)
+	}
+
+	v := views.New(views.Config{RefreshInterval: 5 * time.Millisecond})
+	defer v.Close()
+	cfg := DefaultConfig(events.NewKinematicForecaster())
+	cfg.Views = v
+	shared, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Views() != v {
+		t.Fatal("Views() is not the caller-provided instance")
+	}
+	shared.Shutdown(2 * time.Second)
+	before := v.Stats().Epoch
+	for deadline := time.Now().Add(5 * time.Second); v.Stats().Epoch == before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("caller-provided views stopped refreshing at epoch %d after Shutdown", before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestLegacyVesselsBoundedScan: without views, /api/vessels walks the
-// active index newest-first through the bounded reverse range — the
-// response is still correct, and bbox filtering works on this path.
-func TestLegacyVesselsBoundedScan(t *testing.T) {
+// TestVesselsNewestFirstAndBBox: /api/vessels serves the newest vessels
+// first under limit, and bbox filters the snapshot.
+func TestVesselsNewestFirstAndBBox(t *testing.T) {
 	p := newTestPipeline(t)
 	// Five vessels with distinct report times and two distinct areas.
 	for i := 0; i < 5; i++ {
@@ -235,6 +258,7 @@ func TestLegacyVesselsBoundedScan(t *testing.T) {
 			30*time.Second, t0.Add(time.Duration(i)*time.Minute))
 	}
 	p.Drain(5 * time.Second)
+	p.Views().Refresh()
 	api := NewAPI(p)
 	get := func(path string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -252,7 +276,7 @@ func TestLegacyVesselsBoundedScan(t *testing.T) {
 	}
 	// Newest two = the last-ingested vessels.
 	if len(docs) != 2 || docs[0].MMSI != "239000005" || docs[1].MMSI != "239000004" {
-		t.Fatalf("bounded scan served %+v, want newest two", docs)
+		t.Fatalf("limit=2 served %+v, want newest two", docs)
 	}
 
 	// bbox restricted to the southern trio.
@@ -270,11 +294,10 @@ func TestLegacyVesselsBoundedScan(t *testing.T) {
 	}
 }
 
-// TestBBoxValidation: malformed boxes are client errors on both
-// serving paths.
+// TestBBoxValidation: malformed boxes are client errors.
 func TestBBoxValidation(t *testing.T) {
-	run := func(t *testing.T, api *API) {
-		t.Helper()
+	t.Run("views", func(t *testing.T) {
+		api := NewAPI(newTestPipeline(t))
 		for _, tc := range []struct {
 			path string
 			want int
@@ -293,12 +316,5 @@ func TestBBoxValidation(t *testing.T) {
 				t.Errorf("GET %s: status %d, want %d", tc.path, rec.Code, tc.want)
 			}
 		}
-	}
-	t.Run("views", func(t *testing.T) {
-		p, _ := newViewsPipeline(t)
-		run(t, NewAPI(p))
-	})
-	t.Run("kvstore", func(t *testing.T) {
-		run(t, NewAPI(newTestPipeline(t)))
 	})
 }

@@ -289,12 +289,6 @@ type TrainOptions struct {
 	LR        float64
 	Workers   int
 	Seed      int64
-	// Reference forces the interpreted reference trainer instead of the
-	// compiled fused-gate BPTT path. The two agree to 1e-8 per gradient
-	// element (see internal/nn's parity tests); the switch exists for
-	// A/B benchmarks and as an escape hatch, not because the outputs
-	// differ meaningfully.
-	Reference bool
 	// Progress receives per-epoch training loss; return false to stop.
 	Progress func(epoch int, loss float64) bool
 }
@@ -305,8 +299,9 @@ func DefaultTrainOptions() TrainOptions {
 }
 
 // Train fits the network on preprocessed windows and returns the final
-// mean training loss. Training runs through the compiled fast path by
-// default (see TrainOptions.Reference) and records throughput, clip
+// mean training loss. Training runs through the compiled fused-gate
+// BPTT path (nn.CompileTrain; the reference nn.SeqRegressor.Fit is its
+// parity oracle in internal/nn's tests) and records throughput, clip
 // events and per-epoch loss into the process-wide metrics.Training
 // recorder, so a serving process that retrains exposes the run on its
 // /metrics endpoint.
@@ -342,12 +337,7 @@ func (m *Model) Train(windows []traj.Window, opt TrainOptions) float64 {
 	// run (it shares no storage with the live network); the generation
 	// bump below is what retires it.
 	m.weightsMu.Lock()
-	var loss float64
-	if opt.Reference {
-		loss = m.net.Fit(samples, fitOpt)
-	} else {
-		loss = m.net.CompileTrain().Fit(samples, fitOpt)
-	}
+	loss := m.net.CompileTrain().Fit(samples, fitOpt)
 	m.gen.Add(1)
 	m.weightsMu.Unlock()
 	metrics.Training.Run()

@@ -11,8 +11,8 @@
 // and swaps each in atomically with a new epoch. Serving a request is
 // then one atomic pointer load plus writes of pre-encoded JSON: no
 // locks, no kvstore reads, and no per-request allocations (the PR3/PR5
-// zero-alloc playbook applied to the read path). The kvstore remains
-// the durable fallback; views are a serving cache, not a store.
+// zero-alloc playbook applied to the read path). Views are a serving
+// cache, not a store: the kvstore keeps the durable per-vessel state.
 //
 // The shape follows Amariei et al.'s cell-grid architecture
 // (1810.00090): aggregates are pre-materialized per cell on the write
