@@ -15,6 +15,12 @@ import (
 // prune far-apart traffic.
 const collBinMeters = 15000.0
 
+// sweepBlockTicks is the number of consecutive tick samples one block
+// bounding box summarises. A 30-minute S-VRF forecast (121 ticks) makes
+// 16 blocks; the ±2-minute slide window spans 17 ticks, so a block of A
+// is compared against 3–4 of B's blocks.
+const sweepBlockTicks = 8
+
 // GridDetector is the fast-path replacement for the map-scan collision
 // Detector (which it keeps as its parity oracle). Semantics are
 // identical; the cost model is not:
@@ -23,13 +29,18 @@ const collBinMeters = 15000.0
 //     epoch-aligned checkStep tick grid (see collision.go) into a
 //     pooled contiguous sample arena, with per-segment great-circle
 //     setup (Haversine + InitialBearing) hoisted out of the per-tick
-//     loop. Pair checks then never call interpAt: they are straight
-//     sweeps over two precomputed arrays using the batch distance
-//     kernel geo.FastDistancesInto.
+//     loop, plus a lat/lon bounding box per block of sweepBlockTicks
+//     samples. Pair checks then never call interpAt: they sweep the
+//     two precomputed arrays with the batch distance kernel
+//     geo.FastDistancesInto, skipping every block of A's ticks whose
+//     box is provably no closer to B's slide window than the best
+//     approach found so far (see sweepPair).
 //   - Each slot carries a bounding circle (centroid + radius over the
 //     raw forecast points); Update probes a micro-grid of those
 //     circles and prunes candidates by circle overlap before the exact
-//     (oracle-identical) raw-point prefilter and tick sweep run.
+//     (oracle-identical) raw-point prefilter and tick sweep run. The
+//     rare track too wide for the grid (one straddling ±180) skips
+//     both the grid and the circle prune (see tooWide).
 //   - Staleness expiry runs off a time-ordered ring instead of the
 //     oracle's full-map scan on every insert; the oracle's eviction
 //     cutoff is still applied inline to probed candidates, which keeps
@@ -66,6 +77,9 @@ type GridDetector struct {
 	free  []int32
 	index map[ais.MMSI]int32
 	bins  map[binKey][]int32
+	// wide lists the registered slots too wide for the micro-grid; every
+	// probe visits them. Empty unless a track straddles ±180.
+	wide []int32
 
 	ring     evictRing
 	probeSeq uint64
@@ -78,7 +92,8 @@ type GridDetector struct {
 }
 
 // collSlot is one live forecast: its raw points, bounding circle,
-// precomputed tick samples and micro-grid registration rectangle.
+// precomputed tick samples with their block boxes and micro-grid
+// registration rectangle.
 type collSlot struct {
 	mmsi    ais.MMSI
 	gen     uint32
@@ -92,12 +107,16 @@ type collSlot struct {
 	firstTick int64
 	lastTick  int64
 	samples   []geo.Point
+	// boxes[i] bounds samples[i*sweepBlockTicks : (i+1)*sweepBlockTicks].
+	boxes []blockBox
 
 	// Registration rectangle (inclusive bin ranges; bx0 > bx1 when the
-	// slot is not registered) and the slot's index inside each bin's
+	// slot is not in any bin) and the slot's index inside each bin's
 	// member slice, in (by outer, bx inner) order, for O(1) removal.
+	// A wide slot sits in d.wide instead (see tooWide).
 	bx0, bx1, by0, by1 int32
 	binPos             []int32
+	wide               bool
 
 	probeSeq uint64
 }
@@ -139,36 +158,24 @@ func (d *GridDetector) binY(lat float64) int32 {
 // binRect returns the inclusive bin rectangle covering the circle
 // (center, radiusMeters). The meter→degree conversions use the largest
 // |latitude| the circle touches, so the rectangle always covers the
-// circle; spans are capped at maxSpan bins per axis around the center —
-// the cap only binds for physically impossible tracks (hundreds of km
-// in a 30-minute forecast).
-func (d *GridDetector) binRect(center geo.Point, radiusMeters float64, maxSpan int32) (bx0, bx1, by0, by1 int32) {
+// circle.
+func (d *GridDetector) binRect(center geo.Point, radiusMeters float64) (bx0, bx1, by0, by1 int32) {
 	latRDeg := radiusMeters / perLatMeters
 	lonRDeg := radiusMeters / (perLatMeters * cosClamped(math.Abs(center.Lat)+latRDeg+0.1))
 	bx0, bx1 = d.binX(center.Lon-lonRDeg), d.binX(center.Lon+lonRDeg)
 	by0, by1 = d.binY(center.Lat-latRDeg), d.binY(center.Lat+latRDeg)
-	cx, cy := d.binX(center.Lon), d.binY(center.Lat)
-	if bx1-bx0 >= maxSpan {
-		bx0, bx1 = maxInt32(bx0, cx-maxSpan/2), minInt32(bx1, cx+maxSpan/2)
-	}
-	if by1-by0 >= maxSpan {
-		by0, by1 = maxInt32(by0, cy-maxSpan/2), minInt32(by1, cy+maxSpan/2)
-	}
 	return bx0, bx1, by0, by1
 }
 
-func maxInt32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
+// tooWide reports whether a bin rectangle spans maxSpan or more bins on
+// either axis. Real 30-minute tracks span a few bins. A forecast whose
+// raw longitudes straddle ±180 looks ~360° wide, because FastDistance,
+// the centroid and the bins all work on raw degrees; so does a
+// physically impossible track. The detector keeps such "wide" slots out
+// of the micro-grid and pairs them by brute force (see probePairs)
+// rather than iterating thousands of bins or missing candidates.
+func tooWide(bx0, bx1, by0, by1, maxSpan int32) bool {
+	return int64(bx1)-int64(bx0) >= int64(maxSpan) || int64(by1)-int64(by0) >= int64(maxSpan)
 }
 
 // Update inserts or refreshes a vessel's forecast and returns the
@@ -217,7 +224,7 @@ func (d *GridDetector) commitSlot(si int32, mmsi ais.MMSI, nowNs int64) {
 
 // fillSlot copies the forecast into the slot's recycled arenas:
 // raw points, bounding circle, registration rectangle and — on the
-// fast path — the precomputed tick samples.
+// fast path — the precomputed tick samples and their block boxes.
 func (d *GridDetector) fillSlot(si int32, f Forecast, nowNs int64) {
 	s := &d.slots[si]
 	s.mmsi = f.MMSI
@@ -225,6 +232,7 @@ func (d *GridDetector) fillSlot(si int32, f Forecast, nowNs int64) {
 	s.live = true
 	s.raw = s.raw[:0]
 	s.samples = s.samples[:0]
+	s.boxes = s.boxes[:0]
 	s.binPos = s.binPos[:0]
 	s.firstTick, s.lastTick = 0, -1
 	s.bx0, s.bx1, s.by0, s.by1 = 0, -1, 0, -1
@@ -252,15 +260,71 @@ func (d *GridDetector) fillSlot(si int32, f Forecast, nowNs int64) {
 		}
 	}
 	s.radius = r
-	s.bx0, s.bx1, s.by0, s.by1 = d.binRect(s.centroid, r, 64)
+	if bx0, bx1, by0, by1 := d.binRect(s.centroid, r); tooWide(bx0, bx1, by0, by1, 64) {
+		s.wide = true
+	} else {
+		s.bx0, s.bx1, s.by0, s.by1 = bx0, bx1, by0, by1
+	}
 
 	if d.fastPath {
 		first, last := tickRange(f)
 		s.firstTick, s.lastTick = first, last
 		if last >= first {
 			s.samples = appendTrackSamples(s.samples, f, first, last)
+			s.boxes = appendBlockBoxes(s.boxes, s.samples)
 		}
 	}
+}
+
+// blockBox is the lat/lon bounding box of one block of tick samples, in
+// raw degrees: longitudes are not wrapped across the antimeridian,
+// because geo.FastDistance does not wrap them either.
+type blockBox struct {
+	minLat, maxLat, minLon, maxLon float64
+}
+
+// union returns the smallest box containing both b and o. Like every
+// box operation here it propagates NaN (the min/max builtins do), so a
+// block holding a NaN sample is never skipped.
+func (b blockBox) union(o blockBox) blockBox {
+	return blockBox{
+		minLat: min(b.minLat, o.minLat), maxLat: max(b.maxLat, o.maxLat),
+		minLon: min(b.minLon, o.minLon), maxLon: max(b.maxLon, o.maxLon),
+	}
+}
+
+// appendBlockBoxes appends one box per sweepBlockTicks consecutive
+// samples (the last block may be shorter).
+func appendBlockBoxes(dst []blockBox, samples []geo.Point) []blockBox {
+	for i := 0; i < len(samples); i += sweepBlockTicks {
+		blk := samples[i:min(i+sweepBlockTicks, len(samples))]
+		b := blockBox{minLat: blk[0].Lat, maxLat: blk[0].Lat, minLon: blk[0].Lon, maxLon: blk[0].Lon}
+		for _, p := range blk[1:] {
+			b = b.union(blockBox{minLat: p.Lat, maxLat: p.Lat, minLon: p.Lon, maxLon: p.Lon})
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// minFastDistance returns a lower bound on geo.FastDistance(p, q) for
+// every p inside a and q inside b, as computed in floating point.
+// FastDistance is R·√((Δlon·cos(mean lat))² + Δlat²) on raw degrees;
+// each term is bounded below by the boxes' gap on that axis, and
+// cos(mean lat) by cos of the largest |lat| either box reaches. The
+// subtractions, products and square root are monotone under rounding,
+// so only math.Cos can land an ulp the wrong way — the 1e-9 relative
+// shave covers that many times over.
+func (a blockBox) minFastDistance(b blockBox) float64 {
+	const degToRad = math.Pi / 180
+	latGap := max(b.minLat-a.maxLat, a.minLat-b.maxLat, 0)
+	lonGap := max(b.minLon-a.maxLon, a.minLon-b.maxLon, 0)
+	maxAbsLat := max(math.Abs(a.minLat), math.Abs(a.maxLat), math.Abs(b.minLat), math.Abs(b.maxLat))
+	// Clamped at 0 for |lat| > 90, where cos turns negative.
+	cos := max(math.Cos(maxAbsLat*degToRad), 0)
+	x := lonGap * degToRad * cos
+	y := latGap * degToRad
+	return geo.EarthRadiusMeters * math.Sqrt(x*x+y*y) * (1 - 1e-9)
 }
 
 // appendTrackSamples interpolates the forecast at every tick in
@@ -312,63 +376,82 @@ func appendTrackSamples(dst []geo.Point, f Forecast, first, last int64) []geo.Po
 }
 
 // probePairs runs the incoming forecast against every candidate slot in
-// the bins its expanded bounding circle touches, emitting events into
-// d.out.
+// the bins its expanded bounding circle touches and every wide slot,
+// emitting events into d.out. A wide forecast, or one whose probe
+// rectangle is too wide, is run against every live slot instead.
 func (d *GridDetector) probePairs(si int32, f Forecast, now time.Time, nowNs int64) {
 	a := &d.slots[si]
 	d.probeSeq++
-	seq := d.probeSeq
 
-	bx0, bx1, by0, by1 := d.binRect(a.centroid, a.radius+d.pruneMargin, 128)
+	bx0, bx1, by0, by1 := d.binRect(a.centroid, a.radius+d.pruneMargin)
+	if a.wide || tooWide(bx0, bx1, by0, by1, 128) {
+		for ci := range d.slots {
+			if d.slots[ci].live {
+				d.checkCandidate(a, &d.slots[ci], f, now, nowNs)
+			}
+		}
+		return
+	}
 	for by := by0; by <= by1; by++ {
 		for bx := bx0; bx <= bx1; bx++ {
 			for _, ci := range d.bins[makeBinKey(bx, by)] {
-				c := &d.slots[ci]
-				if c.probeSeq == seq || c.mmsi == a.mmsi {
-					continue
-				}
-				c.probeSeq = seq
-				// The oracle evicts anything past expire before
-				// comparing; skip those inline (the ring frees them
-				// shortly) so eviction timing never changes events.
-				if nowNs-c.stampNs > d.expireNs {
-					continue
-				}
-				d.stats.Candidates++
-				if geo.FastDistance(a.centroid, c.centroid) > a.radius+c.radius+d.pruneMargin {
-					continue
-				}
-				if d.fastPath {
-					// Exact oracle prefilter: minimum raw-point
-					// distance, same iteration order, same cutoff.
-					minRaw := 1e18
-					for _, pa := range f.Points {
-						for _, pb := range c.raw {
-							if dd := geo.FastDistance(pa.Pos, pb.Pos); dd < minRaw {
-								minRaw = dd
-							}
-						}
-					}
-					if minRaw > d.cfg.SpatialThresholdMeters+prefilterMarginMeters {
-						continue
-					}
-					d.stats.Checked++
-					if e, ok := d.sweepPair(a, c); ok {
-						e.DetectedAt = now
-						d.stats.Emitted++
-						d.out = append(d.out, e)
-					}
-				} else {
-					// Compatibility path for non-tick-aligned temporal
-					// thresholds: CheckPair runs its own prefilter.
-					d.stats.Checked++
-					if e, ok := CheckPair(f, Forecast{MMSI: c.mmsi, Points: c.raw}, d.cfg); ok {
-						e.DetectedAt = now
-						d.stats.Emitted++
-						d.out = append(d.out, e)
-					}
+				d.checkCandidate(a, &d.slots[ci], f, now, nowNs)
+			}
+		}
+	}
+	for _, ci := range d.wide {
+		d.checkCandidate(a, &d.slots[ci], f, now, nowNs)
+	}
+}
+
+// checkCandidate runs the incoming forecast f (held in slot a) against
+// candidate slot c once per probe, appending any event to d.out.
+func (d *GridDetector) checkCandidate(a, c *collSlot, f Forecast, now time.Time, nowNs int64) {
+	if c.probeSeq == d.probeSeq || c.mmsi == a.mmsi {
+		return
+	}
+	c.probeSeq = d.probeSeq
+	// The oracle evicts anything past expire before comparing; skip those
+	// inline (the ring frees them shortly) so eviction timing never
+	// changes events.
+	if nowNs-c.stampNs > d.expireNs {
+		return
+	}
+	d.stats.Candidates++
+	// pruneMargin's slack covers FastDistance's non-metricity only over
+	// the short radii of real tracks, so wide slots skip the circle
+	// prune and go straight to the exact prefilter.
+	if !a.wide && !c.wide && geo.FastDistance(a.centroid, c.centroid) > a.radius+c.radius+d.pruneMargin {
+		return
+	}
+	if d.fastPath {
+		// Exact oracle prefilter: minimum raw-point distance, same
+		// iteration order, same cutoff.
+		minRaw := 1e18
+		for _, pa := range f.Points {
+			for _, pb := range c.raw {
+				if dd := geo.FastDistance(pa.Pos, pb.Pos); dd < minRaw {
+					minRaw = dd
 				}
 			}
+		}
+		if minRaw > d.cfg.SpatialThresholdMeters+prefilterMarginMeters {
+			return
+		}
+		d.stats.Checked++
+		if e, ok := d.sweepPair(a, c); ok {
+			e.DetectedAt = now
+			d.stats.Emitted++
+			d.out = append(d.out, e)
+		}
+	} else {
+		// Compatibility path for non-tick-aligned temporal thresholds:
+		// CheckPair runs its own prefilter.
+		d.stats.Checked++
+		if e, ok := CheckPair(f, Forecast{MMSI: c.mmsi, Points: c.raw}, d.cfg); ok {
+			e.DetectedAt = now
+			d.stats.Emitted++
+			d.out = append(d.out, e)
 		}
 	}
 }
@@ -379,46 +462,68 @@ func (d *GridDetector) probePairs(si int32, f Forecast, now time.Time, nowNs int
 // reproduces CheckPair's tick/slide iteration order and strict-less
 // best update exactly, so the winning (distance, time, position) are
 // bitwise those of the oracle.
+//
+// A's ticks are walked in blocks of sweepBlockTicks. A block is skipped
+// outright when the lower bound on FastDistance between its box and the
+// merged boxes of B's samples its ticks slide over is already >= the
+// best distance so far: every distance in the block is then >= the
+// best, which only ever falls, so the strict-less loop would `continue`
+// on each one anyway. The midpoint of the winning pair is computed once,
+// after the sweep, rather than on every improvement.
 func (d *GridDetector) sweepPair(a, b *collSlot) (Event, bool) {
-	best := Event{Kind: KindCollisionForecast, A: a.mmsi, B: b.mmsi, Meters: d.cfg.SpatialThresholdMeters}
-	found := false
 	if a.lastTick < a.firstTick || b.lastTick < b.firstTick {
 		return Event{}, false
 	}
+	bestMeters := d.cfg.SpatialThresholdMeters
+	var bestK, bestKB int64 // A's and B's tick of the closest approach
+	found := false
 	m := d.slideTicks
-	for k := a.firstTick; k <= a.lastTick; k++ {
-		pa := a.samples[k-a.firstTick]
-		lo, hi := k-m, k+m
-		if lo < b.firstTick {
-			lo = b.firstTick
-		}
-		if hi > b.lastTick {
-			hi = b.lastTick
-		}
-		if lo > hi {
+	for k0 := a.firstTick; k0 <= a.lastTick; k0 += sweepBlockTicks {
+		k1 := min(k0+sweepBlockTicks-1, a.lastTick)
+		// B's ticks any tick of this block slides over.
+		wlo, whi := max(k0-m, b.firstTick), min(k1+m, b.lastTick)
+		if wlo > whi {
 			continue
 		}
-		window := b.samples[lo-b.firstTick : hi-b.firstTick+1]
-		if cap(d.distScratch) < len(window) {
-			d.distScratch = make([]float64, len(window))
+		bb := b.boxes[(wlo-b.firstTick)/sweepBlockTicks]
+		for i := (wlo-b.firstTick)/sweepBlockTicks + 1; i <= (whi-b.firstTick)/sweepBlockTicks; i++ {
+			bb = bb.union(b.boxes[i])
 		}
-		scratch := d.distScratch[:len(window)]
-		geo.FastDistancesInto(scratch, pa, window)
-		for j, dist := range scratch {
-			if dist >= best.Meters {
+		if a.boxes[(k0-a.firstTick)/sweepBlockTicks].minFastDistance(bb) >= bestMeters {
+			continue
+		}
+		for k := k0; k <= k1; k++ {
+			pa := a.samples[k-a.firstTick]
+			lo, hi := max(k-m, b.firstTick), min(k+m, b.lastTick)
+			if lo > hi {
 				continue
 			}
-			dtTicks := lo + int64(j) - k
-			best.Meters = dist
-			best.Pos = geo.Midpoint(pa, window[j])
-			best.At = tickTime(k).Add(time.Duration(dtTicks*checkStepNanos) / 2)
-			found = true
+			window := b.samples[lo-b.firstTick : hi-b.firstTick+1]
+			if cap(d.distScratch) < len(window) {
+				d.distScratch = make([]float64, len(window))
+			}
+			scratch := d.distScratch[:len(window)]
+			geo.FastDistancesInto(scratch, pa, window)
+			for j, dist := range scratch {
+				if dist >= bestMeters {
+					continue
+				}
+				bestMeters, bestK, bestKB = dist, k, lo+int64(j)
+				found = true
+			}
 		}
 	}
 	if !found {
 		return Event{}, false
 	}
-	return best, true
+	return Event{
+		Kind:   KindCollisionForecast,
+		A:      a.mmsi,
+		B:      b.mmsi,
+		At:     tickTime(bestK).Add(time.Duration((bestKB-bestK)*checkStepNanos) / 2),
+		Pos:    geo.Midpoint(a.samples[bestK-a.firstTick], b.samples[bestKB-b.firstTick]),
+		Meters: bestMeters,
+	}, true
 }
 
 // evictStale pops expired ring records. Refreshing a forecast frees the
@@ -462,9 +567,14 @@ func (d *GridDetector) freeSlot(si int32) {
 }
 
 // registerSlot adds the slot to every bin its registration rectangle
-// covers, recording its index within each bin for O(1) removal.
+// covers, recording its index within each bin for O(1) removal, or to
+// the wide list.
 func (d *GridDetector) registerSlot(si int32) {
 	s := &d.slots[si]
+	if s.wide {
+		d.wide = append(d.wide, si)
+		return
+	}
 	for by := s.by0; by <= s.by1; by++ {
 		for bx := s.bx0; bx <= s.bx1; bx++ {
 			k := makeBinKey(bx, by)
@@ -479,6 +589,18 @@ func (d *GridDetector) registerSlot(si int32) {
 // the moved slot's recorded index via its rectangle arithmetic.
 func (d *GridDetector) unregisterSlot(si int32) {
 	s := &d.slots[si]
+	if s.wide {
+		s.wide = false
+		for i, wi := range d.wide {
+			if wi == si {
+				last := len(d.wide) - 1
+				d.wide[i] = d.wide[last]
+				d.wide = d.wide[:last]
+				break
+			}
+		}
+		return
+	}
 	if s.bx0 > s.bx1 {
 		return
 	}

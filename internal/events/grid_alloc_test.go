@@ -87,3 +87,39 @@ func TestGridCollisionUpdateZeroAlloc(t *testing.T) {
 		t.Fatalf("GridDetector.Update allocates %v/op in steady state, want 0", allocs)
 	}
 }
+
+// The same churn on the S-VRF's 7-point, 30-minute shape: 121 samples
+// and 16 block boxes per slot, so the box arena is recycled along with
+// the sample arena across eviction and reinsert.
+func TestGridCollisionUpdateZeroAllocSVRFShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	d := NewGridDetector(DefaultCollisionConfig(), 30*time.Second)
+	fleet := newCollisionFleet(60, 3000, 5).withSVRFShape()
+	fcs := make([]Forecast, len(fleet.mmsi))
+	for i := range fcs {
+		fcs[i] = fleet.forecast(i, t0)
+	}
+	now := t0
+	emitted := 0
+	for r := 0; r < 4; r++ {
+		for i := range fcs {
+			now = now.Add(time.Second)
+			emitted += len(d.Update(fcs[i], now))
+		}
+	}
+	if emitted == 0 || d.Stats().Evicted == 0 {
+		t.Fatalf("warm-up emitted %d events and evicted %d slots; the gate would not cover emission and churn",
+			emitted, d.Stats().Evicted)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		now = now.Add(time.Second)
+		d.Update(fcs[i%len(fcs)], now)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("GridDetector.Update allocates %v/op in steady state on the 30-minute shape, want 0", allocs)
+	}
+}

@@ -13,9 +13,12 @@ import (
 // BenchmarkDenseCellUpdate sweeps cell occupancy across the map-scan
 // oracles and the grid fast paths. Proximity vessels are spread over a
 // ~2.2 km fan-in disc (a res-9 cell plus its threshold margin);
-// collision forecasts over a ~10 km disc (a res-7 cell plus margin)
-// with 3-point kinematic tracks. Detectors are preloaded via Seed so
-// the timed loop measures pure steady-state per-report cost.
+// collision forecasts over a ~10 km disc (a res-7 cell plus margin),
+// once with 3-point, 4-minute kinematic tracks and once ("collision30")
+// with the S-VRF's 7-point, 30-minute shape, whose 121-tick sweeps are
+// what the block-bound pruning in sweepPair exists for. Detectors are
+// preloaded via Seed so the timed loop measures pure steady-state
+// per-report cost.
 
 const benchGolden = 137.50776405003785 // golden angle, degrees
 
@@ -33,16 +36,19 @@ func benchProxPoints(occ int) []geo.Point {
 	return pts
 }
 
-func benchForecasts(occ int) []Forecast {
+// benchForecasts returns occ straight-line 12 kn forecasts of points
+// positions step apart, starting at t0.
+func benchForecasts(occ, points int, step time.Duration) []Forecast {
 	fcs := make([]Forecast, occ)
 	for i := range fcs {
 		pos := benchDiscPoint(geo.Point{Lat: 1.2, Lon: 103.8}, i, occ, 10000)
 		cog := math.Mod(float64(i)*benchGolden*2, 360)
-		fcs[i] = Forecast{MMSI: ais.MMSI(800000000 + i), Points: []ForecastPoint{
-			{Pos: pos, At: t0},
-			{Pos: geo.DeadReckon(pos, 12, cog, 120), At: t0.Add(2 * time.Minute)},
-			{Pos: geo.DeadReckon(pos, 12, cog, 240), At: t0.Add(4 * time.Minute)},
-		}}
+		pts := make([]ForecastPoint, points)
+		for j := range pts {
+			dt := time.Duration(j) * step
+			pts[j] = ForecastPoint{Pos: geo.DeadReckon(pos, 12, cog, dt.Seconds()), At: t0.Add(dt)}
+		}
+		fcs[i] = Forecast{MMSI: ais.MMSI(800000000 + i), Points: pts}
 	}
 	return fcs
 }
@@ -51,7 +57,8 @@ func BenchmarkDenseCellUpdate(b *testing.B) {
 	for _, occ := range []int{10, 100, 1000, 5000} {
 		occ := occ
 		pts := benchProxPoints(occ)
-		fcs := benchForecasts(occ)
+		fcs := benchForecasts(occ, 3, 2*time.Minute)
+		fcs30 := benchForecasts(occ, 7, 5*time.Minute)
 
 		b.Run(fmt.Sprintf("proximity/scan/occ=%d", occ), func(b *testing.B) {
 			p := NewProximityDetector(DefaultProximityConfig())
@@ -83,30 +90,37 @@ func BenchmarkDenseCellUpdate(b *testing.B) {
 			if occ >= 5000 {
 				b.Skip("quadratic map-scan oracle is impractical at this occupancy (see BENCH_PR10.json)")
 			}
-			d := NewDetector(DefaultCollisionConfig(), 10*time.Minute)
-			for i := 0; i < occ; i++ {
-				d.Seed(fcs[i], t0)
-			}
-			now := t0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				now = now.Add(time.Millisecond)
-				d.Update(fcs[n%occ], now)
-			}
+			benchCollision(b, NewDetector(DefaultCollisionConfig(), 10*time.Minute), fcs)
 		})
 		b.Run(fmt.Sprintf("collision/grid/occ=%d", occ), func(b *testing.B) {
-			d := NewGridDetector(DefaultCollisionConfig(), 10*time.Minute)
-			for i := 0; i < occ; i++ {
-				d.Seed(fcs[i], t0)
-			}
-			now := t0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				now = now.Add(time.Millisecond)
-				d.Update(fcs[n%occ], now)
-			}
+			benchCollision(b, NewGridDetector(DefaultCollisionConfig(), 10*time.Minute), fcs)
 		})
+		b.Run(fmt.Sprintf("collision30/scan/occ=%d", occ), func(b *testing.B) {
+			if occ >= 1000 {
+				b.Skip("quadratic map-scan oracle over 121-tick tracks is impractical at this occupancy")
+			}
+			benchCollision(b, NewDetector(DefaultCollisionConfig(), 10*time.Minute), fcs30)
+		})
+		b.Run(fmt.Sprintf("collision30/grid/occ=%d", occ), func(b *testing.B) {
+			benchCollision(b, NewGridDetector(DefaultCollisionConfig(), 10*time.Minute), fcs30)
+		})
+	}
+}
+
+// benchCollision preloads d with every forecast, then times Update
+// refreshing them round-robin.
+func benchCollision(b *testing.B, d interface {
+	Seed(Forecast, time.Time)
+	Update(Forecast, time.Time) []Event
+}, fcs []Forecast) {
+	for _, f := range fcs {
+		d.Seed(f, t0)
+	}
+	now := t0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		now = now.Add(time.Millisecond)
+		d.Update(fcs[n%len(fcs)], now)
 	}
 }

@@ -108,23 +108,33 @@ func TestGridProximityParitySparseAegean(t *testing.T) {
 }
 
 // collisionFleet is a deterministic set of crossing straight-line
-// tracks; forecasts are the 3-point kinematic shape (now, +2 min,
-// +4 min) so oracle pair checks stay affordable under -race.
+// tracks. Forecasts default to the 3-point kinematic shape (now,
+// +2 min, +4 min) so oracle pair checks stay affordable under -race;
+// withSVRFShape switches to the 7-point, 30-minute shape production
+// uses.
 type collisionFleet struct {
 	mmsi []ais.MMSI
 	pos  []geo.Point
 	cog  []float64
 	sog  []float64
+
+	points int
+	step   time.Duration
 }
 
 func newCollisionFleet(n int, radiusMeters float64, seed int64) *collisionFleet {
+	return newCollisionFleetAt(geo.Point{Lat: 1.2, Lon: 103.8}, n, radiusMeters, seed)
+}
+
+func newCollisionFleetAt(center geo.Point, n int, radiusMeters float64, seed int64) *collisionFleet {
 	rng := rand.New(rand.NewSource(seed))
-	center := geo.Point{Lat: 1.2, Lon: 103.8}
 	f := &collisionFleet{
-		mmsi: make([]ais.MMSI, n),
-		pos:  make([]geo.Point, n),
-		cog:  make([]float64, n),
-		sog:  make([]float64, n),
+		mmsi:   make([]ais.MMSI, n),
+		pos:    make([]geo.Point, n),
+		cog:    make([]float64, n),
+		sog:    make([]float64, n),
+		points: 3,
+		step:   2 * time.Minute,
 	}
 	for i := 0; i < n; i++ {
 		f.mmsi[i] = ais.MMSI(200000000 + i)
@@ -135,12 +145,21 @@ func newCollisionFleet(n int, radiusMeters float64, seed int64) *collisionFleet 
 	return f
 }
 
+// withSVRFShape switches the fleet to the S-VRF forecast shape: the
+// present position plus six 5-minute predictions, 121 sweep ticks.
+func (f *collisionFleet) withSVRFShape() *collisionFleet {
+	f.points, f.step = 7, 5*time.Minute
+	return f
+}
+
 func (f *collisionFleet) forecast(i int, now time.Time) Forecast {
-	return Forecast{MMSI: f.mmsi[i], Points: []ForecastPoint{
-		{Pos: f.pos[i], At: now},
-		{Pos: geo.DeadReckon(f.pos[i], f.sog[i], f.cog[i], 120), At: now.Add(2 * time.Minute)},
-		{Pos: geo.DeadReckon(f.pos[i], f.sog[i], f.cog[i], 240), At: now.Add(4 * time.Minute)},
-	}}
+	pts := make([]ForecastPoint, f.points)
+	pts[0] = ForecastPoint{Pos: f.pos[i], At: now}
+	for j := 1; j < f.points; j++ {
+		dt := time.Duration(j) * f.step
+		pts[j] = ForecastPoint{Pos: geo.DeadReckon(f.pos[i], f.sog[i], f.cog[i], dt.Seconds()), At: now.Add(dt)}
+	}
+	return Forecast{MMSI: f.mmsi[i], Points: pts}
 }
 
 func (f *collisionFleet) advance(i int, dtSeconds float64) {
@@ -200,6 +219,144 @@ func TestGridCollisionParityFallback(t *testing.T) {
 	events := runCollisionParity(t, cfg, fleet, 4)
 	if events == 0 {
 		t.Fatal("fallback scenario produced no events; parity run is vacuous")
+	}
+}
+
+// The 3-point fleets above make at most two sweep blocks per track; the
+// block-bound pruning only earns its keep (and can only go wrong) on
+// the 121-tick S-VRF shape. These runs replay it where the bound's
+// terms are extreme: a dense fleet, high latitude (small cos), and raw
+// longitudes on both sides of ±180, where FastDistance does not wrap
+// and the tracks that cross the line become wide slots (see tooWide).
+func TestGridCollisionParitySVRFShape(t *testing.T) {
+	cases := []struct {
+		name   string
+		center geo.Point
+		seed   int64
+	}{
+		{"dense", geo.Point{Lat: 1.2, Lon: 103.8}, 42},
+		{"70N", geo.Point{Lat: 70.2, Lon: 20.5}, 7},
+		{"antimeridian", geo.Point{Lat: -16.5, Lon: -180}, 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fleet := newCollisionFleetAt(c.center, 12, 3000, c.seed).withSVRFShape()
+			events := runCollisionParity(t, DefaultCollisionConfig(), fleet, 4)
+			if events == 0 {
+				t.Fatal("fleet produced no collision events; parity run is vacuous")
+			}
+		})
+	}
+}
+
+// The block bound must never exceed the FastDistance of any pair of
+// points inside its two boxes — that is all sweepPair's skip relies on.
+// Boxes range from metres to 100 km, up to |lat| 89.9 and across the
+// whole raw longitude range, near each other or anywhere; corners are
+// always among the points since that is where the bound is tight.
+func TestBlockBoxBoundBelowFastDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	randBox := func(near *blockBox) blockBox {
+		size := math.Pow(10, rng.Float64()*5) / perLatMeters // 1 m .. 100 km
+		latSpan, lonSpan := rng.Float64()*size, rng.Float64()*size*20
+		lat := (rng.Float64()*2-1)*89.9 - latSpan/2
+		lon := (rng.Float64()*2-1)*180 - lonSpan/2
+		if near != nil {
+			lat = near.minLat + (rng.Float64()*2-1)*3*size
+			lon = near.minLon + (rng.Float64()*2-1)*3*size
+		}
+		lat = math.Max(-89.9, math.Min(89.9-latSpan, lat))
+		lon = math.Max(-180, math.Min(math.Nextafter(180, 0)-lonSpan, lon))
+		return blockBox{minLat: lat, maxLat: lat + latSpan, minLon: lon, maxLon: lon + lonSpan}
+	}
+	points := func(b blockBox) []geo.Point {
+		pts := []geo.Point{
+			{Lat: b.minLat, Lon: b.minLon}, {Lat: b.minLat, Lon: b.maxLon},
+			{Lat: b.maxLat, Lon: b.minLon}, {Lat: b.maxLat, Lon: b.maxLon},
+		}
+		for i := 0; i < 4; i++ {
+			pts = append(pts, geo.Point{
+				Lat: b.minLat + rng.Float64()*(b.maxLat-b.minLat),
+				Lon: b.minLon + rng.Float64()*(b.maxLon-b.minLon),
+			})
+		}
+		return pts
+	}
+	dists := make([]float64, 8)
+	positive := 0
+	for trial := 0; trial < 20000; trial++ {
+		a := randBox(nil)
+		var b blockBox
+		switch trial % 4 {
+		case 0:
+			b = randBox(nil)
+		case 1: // the other side of the antimeridian
+			a.minLon, a.maxLon = 180-(a.maxLon-a.minLon)-1e-7, 180-1e-7
+			b = randBox(&blockBox{minLat: a.minLat, minLon: -180})
+		default:
+			b = randBox(&a)
+		}
+		bound := a.minFastDistance(b)
+		if bound > 0 {
+			positive++
+		}
+		if rev := b.minFastDistance(a); rev != bound {
+			t.Fatalf("bound not symmetric: %v vs %v for %+v, %+v", bound, rev, a, b)
+		}
+		qs := points(b)
+		for _, p := range points(a) {
+			geo.FastDistancesInto(dists, p, qs)
+			for j, q := range qs {
+				if d := geo.FastDistance(q, p); bound > d || bound > dists[j] {
+					t.Fatalf("bound %v exceeds FastDistance %v / %v\nbox A %+v p %v\nbox B %+v q %v",
+						bound, d, dists[j], a, p, b, q)
+				}
+			}
+		}
+	}
+	if positive < 20000/4 {
+		t.Fatalf("only %d of 20000 bounds are positive; the test is vacuous", positive)
+	}
+}
+
+// Two vessels converging over the whole 30-minute horizon: the best
+// approach improves tick after tick, across blocks, so the deferred
+// Midpoint must be taken on the final winner, not an intermediate one.
+// The event must equal the oracle's bitwise.
+func TestGridCollisionDeferredMidpoint(t *testing.T) {
+	start := geo.Point{Lat: 35.9, Lon: 14.5}
+	mk := func(mmsi ais.MMSI, pos geo.Point, cog float64) Forecast {
+		pts := make([]ForecastPoint, 7)
+		for j := range pts {
+			dt := time.Duration(j) * 5 * time.Minute
+			pts[j] = ForecastPoint{Pos: geo.DeadReckon(pos, 12, cog, dt.Seconds()), At: t0.Add(dt)}
+		}
+		return Forecast{MMSI: mmsi, Points: pts}
+	}
+	// B starts 1.5 km abeam and closes at 7° off parallel, reaching its
+	// closest approach only at the end of the horizon.
+	fa := mk(300000001, start, 90)
+	fb := mk(300000002, geo.Destination(start, 0, 1500), 97)
+	want, ok := CheckPair(fb, fa, DefaultCollisionConfig())
+	if !ok {
+		t.Fatal("oracle found no encounter; scenario is vacuous")
+	}
+	if d0 := geo.FastDistance(fa.Points[0].Pos, fb.Points[0].Pos); d0 >= DefaultCollisionConfig().SpatialThresholdMeters || want.Meters > d0/4 {
+		t.Fatalf("want a best that starts below threshold (%.0f m) and keeps improving; oracle best %.0f m", d0, want.Meters)
+	}
+	if want.At.Before(t0.Add(sweepBlockTicks * 2 * checkStep)) {
+		t.Fatalf("closest approach at %v lies in the first blocks; scenario does not cross blocks", want.At)
+	}
+
+	g := NewGridDetector(DefaultCollisionConfig(), 0)
+	g.Update(fa, t0)
+	got := g.Update(fb, t0)
+	if len(got) != 1 {
+		t.Fatalf("grid emitted %d events, want 1", len(got))
+	}
+	want.DetectedAt = t0
+	if got[0] != want {
+		t.Fatalf("grid event differs from oracle\noracle: %+v\ngrid:   %+v", want, got[0])
 	}
 }
 
