@@ -171,100 +171,11 @@ func BenchmarkGetOrSpawnParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestParallel pushes position reports through the full
-// pipeline from parallel producers — the Figure 6 message path end to
-// end: registry lookup, vessel actor, forecast fan-out, metrics
-// recording and writer persistence. The timed region covers enqueue AND
-// processing to quiescence, so ns/op is the whole-pipeline per-message
-// cost rather than the enqueue rate alone.
-func BenchmarkIngestParallel(b *testing.B) {
-	cfg := pipeline.DefaultConfig(events.NewKinematicForecaster())
-	cfg.Writers = 4
-	p, err := pipeline.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Shutdown(5 * time.Second)
-	base := time.Date(2026, 7, 5, 9, 0, 0, 0, time.UTC)
-	var workerID int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Each producer owns a disjoint MMSI range so per-vessel
-		// timestamps stay monotonic (the broker's per-key ordering).
-		w := atomic.AddInt64(&workerID, 1)
-		const fleet = 1024
-		var i int64
-		for pb.Next() {
-			i++
-			// The fleet sits on a wide grid (~20 km spacing) so cells hold
-			// ~1 vessel each: per-message work stays constant instead of
-			// exploding into O(n^2) pairwise detection, which would swamp
-			// the path under test with scheduling-sensitive churn.
-			v := (w-1)*fleet + i%fleet
-			ts := base.Add(time.Duration(i/fleet) * 30 * time.Second)
-			p.Ingest(ais.PositionReport{
-				MMSI: ais.MMSI(200000000 + v),
-				Lat:  30 + float64(v%64)*0.2,
-				Lon:  20 + float64(v/64)*0.2 + float64(i/fleet)*0.001,
-				SOG:  12, COG: 90,
-				Timestamp: ts,
-			}, ts)
-		}
-	})
-	p.Drain(60 * time.Second)
-	b.StopTimer()
-}
-
-// BenchmarkIngestNMEA measures the raw-receiver ingest path: NMEA
-// AIVDM lines parsed, de-armored, decoded and pushed through the full
-// pipeline — ParseSentence's in-place field split and the pooled
-// de-armoring buffers ahead of the same actor path BenchmarkIngestParallel
-// times. Sentences are pre-marshalled so the timed region is decode +
-// ingest only.
-func BenchmarkIngestNMEA(b *testing.B) {
-	cfg := pipeline.DefaultConfig(events.NewKinematicForecaster())
-	cfg.Writers = 4
-	p, err := pipeline.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Shutdown(5 * time.Second)
-	base := time.Date(2026, 7, 5, 9, 0, 0, 0, time.UTC)
-	const fleet = 1024
-	lines := make([]string, 0, fleet)
-	for v := 0; v < fleet; v++ {
-		ls, err := ais.Marshal(ais.PositionReport{
-			MMSI: ais.MMSI(210000000 + v),
-			Lat:  30 + float64(v%64)*0.2,
-			Lon:  20 + float64(v/64)*0.2,
-			SOG:  12, COG: 90,
-			Timestamp: base,
-		}, "A", 0)
-		if err != nil || len(ls) != 1 {
-			b.Fatalf("marshal: %v (%d lines)", err, len(ls))
-		}
-		lines = append(lines, ls[0])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// receivedAt advances one 30 s reporting round per fleet sweep so
-		// per-vessel timestamps stay monotonic for the dedup guard.
-		at := base.Add(time.Duration(i/fleet) * 30 * time.Second)
-		if err := p.IngestNMEA(lines[i%fleet], at); err != nil {
-			b.Fatal(err)
-		}
-	}
-	p.Drain(60 * time.Second)
-	b.StopTimer()
-}
-
 // BenchmarkLiveFeedEndToEnd measures the full push path: AIS reports
 // ingested into the pipeline, processed by vessel actors, persisted by
 // writer actors, and fanned out by the live-feed hub to thousands of
 // concurrently-consuming subscribers — the Figure 2 middleware serving
-// push instead of poll. Compare ns/op against BenchmarkIngestParallel
-// to read the marginal cost of the feed layer.
+// push instead of poll.
 func BenchmarkLiveFeedEndToEnd(b *testing.B) {
 	hub := feed.NewHub(feed.Options{RegionResolution: 7})
 	defer hub.Close()

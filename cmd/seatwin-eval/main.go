@@ -5,20 +5,16 @@
 //
 // Usage:
 //
-//	seatwin-eval -exp all|table1|table2|figure6|dataset|vtff|eventbench
+//	seatwin-eval -exp all|table1|table2|figure6|dataset|vtff
 //	             [-scale small|full] [-seed 42]
 //	             [-vessels 20000] [-messages 400000]   (figure6)
-//	             [-eventbench-out BENCH_PR10.json]     (eventbench)
-//
-// eventbench is not part of "all": it compares the event-detection
-// fast paths against the map-scan oracles (see DESIGN.md §16) and is
-// run explicitly to regenerate BENCH_PR10.json.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -28,9 +24,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
-		exp       = flag.String("exp", "all", "all | table1 | table2 | figure6 | dataset | vtff | eventbench")
-		ebOut     = flag.String("eventbench-out", "", "eventbench: also write the JSON artifact here")
+		exp       = flag.String("exp", "all", "all | table1 | table2 | figure6 | dataset | vtff")
 		rate      = flag.Float64("rate", 3000, "figure6: ingest pacing, messages/second (0 = max speed)")
 		scaleFlag = flag.String("scale", "small", "small (fast) | full (EXPERIMENTS.md scale)")
 		seed      = flag.Int64("seed", 42, "experiment seed")
@@ -39,26 +41,23 @@ func main() {
 	)
 	flag.Parse()
 
-	scale := experiments.Small
-	if *scaleFlag == "full" {
+	// A typo'd -exp or -scale would otherwise run nothing (or the wrong
+	// scale) and still exit 0.
+	switch *exp {
+	case "all", "table1", "table2", "figure6", "dataset", "vtff":
+	default:
+		return fmt.Errorf("unknown -exp %q (want all, table1, table2, figure6, dataset or vtff)", *exp)
+	}
+	var scale experiments.Scale
+	switch *scaleFlag {
+	case "small":
+		scale = experiments.Small
+	case "full":
 		scale = experiments.Full
+	default:
+		return fmt.Errorf("unknown -scale %q (want small or full)", *scaleFlag)
 	}
 	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if *exp == "eventbench" {
-		cfg := experiments.DefaultEventBenchConfig()
-		cfg.Seed = *seed
-		log.Printf("running event-detection benchmark (occupancies %v)...", cfg.Occupancies)
-		res := experiments.RunEventBench(cfg)
-		fmt.Println(res.Format())
-		if *ebOut != "" {
-			if err := res.WriteFile(*ebOut); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *ebOut)
-		}
-		return
-	}
 
 	needModel := want("table1") || want("table2") || want("dataset") || want("vtff")
 	var tm experiments.TrainedModel
@@ -92,15 +91,16 @@ func main() {
 		} else {
 			m, err := svrf.New(svrf.DefaultConfig())
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			fc = events.SVRFForecaster{Model: m}
 		}
 		res, err := experiments.RunFigure6(fc, *vessels, *messages, *rate, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sections = append(sections, res.Format())
 	}
 	fmt.Println(strings.Join(sections, "\n"))
+	return nil
 }

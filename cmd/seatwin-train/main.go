@@ -4,14 +4,9 @@
 // the Table 1 comparison against the linear kinematic baseline and
 // saves the trained weights.
 //
-// With -bench it instead runs the training-throughput benchmark
-// (reference interpreted trainer vs the compiled fused-gate BPTT path)
-// and writes the JSON artifact.
-//
 // Usage:
 //
 //	seatwin-train [-scale small|full] [-seed 42] [-out s-vrf.gob]
-//	seatwin-train -bench [-bench-out BENCH_PR8.json]
 package main
 
 import (
@@ -36,42 +31,10 @@ func run() error {
 		scaleFlag = flag.String("scale", "small", "small (fast) | full (EXPERIMENTS.md scale)")
 		seed      = flag.Int64("seed", 42, "dataset seed")
 		out       = flag.String("out", "s-vrf.gob", "output model file")
-		bench     = flag.Bool("bench", false, "run the training-throughput benchmark instead of training")
-		benchOut  = flag.String("bench-out", "BENCH_PR8.json", "benchmark JSON output file (-bench only)")
-		benchNote = flag.String("bench-note", "", "free-form note recorded in the benchmark artifact (-bench only)")
 	)
 	flag.Parse()
 
-	// Reject invalid flag combinations up front instead of silently
-	// ignoring (or defaulting) them: a typo'd -scale or a -bench-out
-	// without -bench would otherwise run the wrong job and still exit 0.
-	var explicit = map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if !*bench {
-		for _, name := range []string{"bench-out", "bench-note"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s requires -bench", name)
-			}
-		}
-	} else {
-		for _, name := range []string{"scale", "seed", "out"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s does not apply to -bench", name)
-			}
-		}
-	}
-
-	if *bench {
-		r := experiments.RunTrainBench(experiments.DefaultTrainBenchConfig())
-		r.Note = *benchNote
-		fmt.Print(r.Format())
-		if err := r.WriteFile(*benchOut); err != nil {
-			return fmt.Errorf("write benchmark: %w", err)
-		}
-		log.Printf("benchmark written to %s", *benchOut)
-		return nil
-	}
-
+	// A typo'd -scale would otherwise silently train at the default scale.
 	var scale experiments.Scale
 	switch *scaleFlag {
 	case "small":

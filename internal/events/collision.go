@@ -1,6 +1,7 @@
 package events
 
 import (
+	"fmt"
 	"time"
 
 	"seatwin/internal/ais"
@@ -49,6 +50,17 @@ const checkStep = 15 * time.Second
 // checkStepNanos is checkStep as integer nanoseconds, the unit of the
 // epoch-aligned tick grid below.
 const checkStepNanos = int64(checkStep)
+
+// Validate reports whether the config can drive a GridDetector, whose
+// sweep slides one precomputed track against the other in whole
+// checkSteps: TemporalThreshold must be a non-negative multiple of
+// 15 s. CheckPair itself accepts any threshold.
+func (c CollisionConfig) Validate() error {
+	if c.TemporalThreshold < 0 || c.TemporalThreshold%checkStep != 0 {
+		return fmt.Errorf("events: collision TemporalThreshold %v is not a non-negative multiple of %v", c.TemporalThreshold, checkStep)
+	}
+	return nil
+}
 
 // prefilterMarginMeters is the slack the raw-point prefilter adds to
 // the spatial threshold: how far the vessels can close between raw
@@ -164,64 +176,3 @@ func CheckPair(a, b Forecast, cfg CollisionConfig) (Event, bool) {
 	}
 	return best, found
 }
-
-// Detector accumulates forecasts and detects pairwise collision
-// candidates among them. The pipeline shards detection across collision
-// actors by hexgrid cell; Detector is the per-shard state.
-type Detector struct {
-	cfg CollisionConfig
-	// forecasts by MMSI; refreshed wholesale on every new forecast.
-	forecasts map[ais.MMSI]Forecast
-	// expire removes stale forecasts (vessel gone quiet).
-	expire time.Duration
-	stamps map[ais.MMSI]time.Time
-}
-
-// NewDetector creates a detector whose forecasts expire after the given
-// duration (0 means 10 minutes).
-func NewDetector(cfg CollisionConfig, expire time.Duration) *Detector {
-	if expire <= 0 {
-		expire = 10 * time.Minute
-	}
-	return &Detector{
-		cfg:       cfg,
-		forecasts: make(map[ais.MMSI]Forecast),
-		expire:    expire,
-		stamps:    make(map[ais.MMSI]time.Time),
-	}
-}
-
-// Update inserts or refreshes a vessel's forecast and returns the
-// collision events it triggers against the other live forecasts.
-func (d *Detector) Update(f Forecast, now time.Time) []Event {
-	// Evict stale entries.
-	for id, ts := range d.stamps {
-		if now.Sub(ts) > d.expire {
-			delete(d.stamps, id)
-			delete(d.forecasts, id)
-		}
-	}
-	var out []Event
-	for id, other := range d.forecasts {
-		if id == f.MMSI {
-			continue
-		}
-		if e, ok := CheckPair(f, other, d.cfg); ok {
-			e.DetectedAt = now
-			out = append(out, e)
-		}
-	}
-	d.forecasts[f.MMSI] = f
-	d.stamps[f.MMSI] = now
-	return out
-}
-
-// Seed inserts or refreshes a forecast without running detection — the
-// bulk-preload path benchmarks use.
-func (d *Detector) Seed(f Forecast, now time.Time) {
-	d.forecasts[f.MMSI] = f
-	d.stamps[f.MMSI] = now
-}
-
-// Size returns the number of live forecasts held.
-func (d *Detector) Size() int { return len(d.forecasts) }

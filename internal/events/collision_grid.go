@@ -21,9 +21,9 @@ const collBinMeters = 15000.0
 // is compared against 3–4 of B's blocks.
 const sweepBlockTicks = 8
 
-// GridDetector is the fast-path replacement for the map-scan collision
-// Detector (which it keeps as its parity oracle). Semantics are
-// identical; the cost model is not:
+// GridDetector is the collision detector the collision actors run. It
+// emits exactly the events of the map-scan oracle in oracle_test.go
+// (CheckPair against every live forecast); the cost model differs:
 //
 //   - Each forecast is interpolated ONCE at insert onto the
 //     epoch-aligned checkStep tick grid (see collision.go) into a
@@ -47,17 +47,14 @@ const sweepBlockTicks = 8
 //     emitted events identical regardless of when the ring physically
 //     frees a slot.
 //
-// The tick-sweep fast path requires TemporalThreshold to be a whole
-// number of checkSteps (the default 2 minutes is); otherwise pair
-// checks fall back to CheckPair after the circle prune. The detector is
-// not safe for concurrent use; each collision actor owns one.
+// The detector is not safe for concurrent use; each collision actor
+// owns one.
 type GridDetector struct {
 	cfg      CollisionConfig
 	expireNs int64
 
-	// fastPath: the ±TemporalThreshold slide lands exactly on tick
-	// boundaries, so precomputed samples serve every pair check.
-	fastPath   bool
+	// slideTicks is ±TemporalThreshold in ticks: the slide lands exactly
+	// on tick boundaries, so precomputed samples serve every pair check.
 	slideTicks int64
 	// pruneMargin is the circle-overlap slack: the oracle's prefilter
 	// accepts a pair only if some raw-point distance is at most
@@ -122,7 +119,12 @@ type collSlot struct {
 }
 
 // NewGridDetector creates a grid detector whose forecasts expire after
-// the given duration (0 means 10 minutes), matching NewDetector.
+// the given duration (0 means 10 minutes).
+//
+// cfg must pass cfg.Validate: TemporalThreshold a non-negative whole
+// number of 15-second checkSteps (the default 2 minutes is), because
+// the sweep slides one precomputed track against the other in whole
+// ticks. pipeline.New rejects any other config.
 func NewGridDetector(cfg CollisionConfig, expire time.Duration) *GridDetector {
 	if expire <= 0 {
 		expire = 10 * time.Minute
@@ -133,7 +135,6 @@ func NewGridDetector(cfg CollisionConfig, expire time.Duration) *GridDetector {
 		index:    make(map[ais.MMSI]int32),
 		bins:     make(map[binKey][]int32),
 	}
-	d.fastPath = cfg.TemporalThreshold >= 0 && cfg.TemporalThreshold%checkStep == 0
 	d.slideTicks = int64(cfg.TemporalThreshold / checkStep)
 	d.pruneMargin = (cfg.SpatialThresholdMeters+prefilterMarginMeters)*1.25 + 1000
 	return d
@@ -223,8 +224,8 @@ func (d *GridDetector) commitSlot(si int32, mmsi ais.MMSI, nowNs int64) {
 }
 
 // fillSlot copies the forecast into the slot's recycled arenas:
-// raw points, bounding circle, registration rectangle and — on the
-// fast path — the precomputed tick samples and their block boxes.
+// raw points, bounding circle, registration rectangle, and the
+// precomputed tick samples with their block boxes.
 func (d *GridDetector) fillSlot(si int32, f Forecast, nowNs int64) {
 	s := &d.slots[si]
 	s.mmsi = f.MMSI
@@ -266,13 +267,11 @@ func (d *GridDetector) fillSlot(si int32, f Forecast, nowNs int64) {
 		s.bx0, s.bx1, s.by0, s.by1 = bx0, bx1, by0, by1
 	}
 
-	if d.fastPath {
-		first, last := tickRange(f)
-		s.firstTick, s.lastTick = first, last
-		if last >= first {
-			s.samples = appendTrackSamples(s.samples, f, first, last)
-			s.boxes = appendBlockBoxes(s.boxes, s.samples)
-		}
+	first, last := tickRange(f)
+	s.firstTick, s.lastTick = first, last
+	if last >= first {
+		s.samples = appendTrackSamples(s.samples, f, first, last)
+		s.boxes = appendBlockBoxes(s.boxes, s.samples)
 	}
 }
 
@@ -424,35 +423,24 @@ func (d *GridDetector) checkCandidate(a, c *collSlot, f Forecast, now time.Time,
 	if !a.wide && !c.wide && geo.FastDistance(a.centroid, c.centroid) > a.radius+c.radius+d.pruneMargin {
 		return
 	}
-	if d.fastPath {
-		// Exact oracle prefilter: minimum raw-point distance, same
-		// iteration order, same cutoff.
-		minRaw := 1e18
-		for _, pa := range f.Points {
-			for _, pb := range c.raw {
-				if dd := geo.FastDistance(pa.Pos, pb.Pos); dd < minRaw {
-					minRaw = dd
-				}
+	// Exact oracle prefilter: minimum raw-point distance, same iteration
+	// order, same cutoff.
+	minRaw := 1e18
+	for _, pa := range f.Points {
+		for _, pb := range c.raw {
+			if dd := geo.FastDistance(pa.Pos, pb.Pos); dd < minRaw {
+				minRaw = dd
 			}
 		}
-		if minRaw > d.cfg.SpatialThresholdMeters+prefilterMarginMeters {
-			return
-		}
-		d.stats.Checked++
-		if e, ok := d.sweepPair(a, c); ok {
-			e.DetectedAt = now
-			d.stats.Emitted++
-			d.out = append(d.out, e)
-		}
-	} else {
-		// Compatibility path for non-tick-aligned temporal thresholds:
-		// CheckPair runs its own prefilter.
-		d.stats.Checked++
-		if e, ok := CheckPair(f, Forecast{MMSI: c.mmsi, Points: c.raw}, d.cfg); ok {
-			e.DetectedAt = now
-			d.stats.Emitted++
-			d.out = append(d.out, e)
-		}
+	}
+	if minRaw > d.cfg.SpatialThresholdMeters+prefilterMarginMeters {
+		return
+	}
+	d.stats.Checked++
+	if e, ok := d.sweepPair(a, c); ok {
+		e.DetectedAt = now
+		d.stats.Emitted++
+		d.out = append(d.out, e)
 	}
 }
 

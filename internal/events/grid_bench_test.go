@@ -88,7 +88,7 @@ func BenchmarkDenseCellUpdate(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("collision/scan/occ=%d", occ), func(b *testing.B) {
 			if occ >= 5000 {
-				b.Skip("quadratic map-scan oracle is impractical at this occupancy (see BENCH_PR10.json)")
+				b.Skip("quadratic map-scan oracle is impractical at this occupancy")
 			}
 			benchCollision(b, NewDetector(DefaultCollisionConfig(), 10*time.Minute), fcs)
 		})

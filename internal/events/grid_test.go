@@ -15,7 +15,7 @@ import (
 
 // The grid detectors are fast paths, not approximations: on identical
 // input streams they must emit the identical event set as the map-scan
-// oracles — same pairs, same timestamps, distances and positions within
+// oracles in oracle_test.go — same pairs, same timestamps, distances and positions within
 // 1e-9 (in practice bitwise), same cooldown suppression. These tests
 // drive both side by side and compare per update.
 
@@ -203,22 +203,6 @@ func TestGridCollisionParitySparse(t *testing.T) {
 	events := runCollisionParity(t, DefaultCollisionConfig(), fleet, 4)
 	if events != 0 {
 		t.Fatalf("sparse fleet unexpectedly produced %d events", events)
-	}
-}
-
-// A temporal threshold that is not a whole number of checkSteps
-// disables the precomputed-track sweep; the fallback must still match
-// the oracle exactly.
-func TestGridCollisionParityFallback(t *testing.T) {
-	cfg := CollisionConfig{TemporalThreshold: 100 * time.Second, SpatialThresholdMeters: 1852}
-	fleet := newCollisionFleet(10, 3000, 17)
-	grid := NewGridDetector(cfg, 0)
-	if grid.fastPath {
-		t.Fatal("100s threshold should not take the tick-aligned fast path")
-	}
-	events := runCollisionParity(t, cfg, fleet, 4)
-	if events == 0 {
-		t.Fatal("fallback scenario produced no events; parity run is vacuous")
 	}
 }
 

@@ -27,78 +27,6 @@ func DefaultProximityConfig() ProximityConfig {
 	}
 }
 
-// ProximityDetector is the per-cell state of the cell actors: last
-// positions of the vessels currently reporting in the cell's
-// neighbourhood.
-type ProximityDetector struct {
-	cfg      ProximityConfig
-	last     map[ais.MMSI]ForecastPoint
-	cooldown map[string]time.Time // pair key -> last emission
-}
-
-// NewProximityDetector creates an empty detector.
-func NewProximityDetector(cfg ProximityConfig) *ProximityDetector {
-	if cfg.ThresholdMeters <= 0 {
-		cfg = DefaultProximityConfig()
-	}
-	return &ProximityDetector{
-		cfg:      cfg,
-		last:     make(map[ais.MMSI]ForecastPoint),
-		cooldown: make(map[string]time.Time),
-	}
-}
-
-// Update feeds one position report and returns any proximity events it
-// completes.
-func (p *ProximityDetector) Update(mmsi ais.MMSI, pos geo.Point, at time.Time) []Event {
-	var out []Event
-	for id, fp := range p.last {
-		if id == mmsi {
-			continue
-		}
-		dt := at.Sub(fp.At)
-		if dt < 0 {
-			dt = -dt
-		}
-		if dt > p.cfg.TimeWindow {
-			// Stale entry: drop it opportunistically when far in the past.
-			if at.Sub(fp.At) > 2*p.cfg.TimeWindow {
-				delete(p.last, id)
-			}
-			continue
-		}
-		d := geo.FastDistance(pos, fp.Pos)
-		if d > p.cfg.ThresholdMeters {
-			continue
-		}
-		e := Event{
-			Kind:       KindProximity,
-			A:          mmsi,
-			B:          id,
-			At:         at,
-			DetectedAt: at,
-			Pos:        geo.Midpoint(pos, fp.Pos),
-			Meters:     d,
-		}
-		if until, ok := p.cooldown[e.PairKey()]; ok && at.Before(until) {
-			continue
-		}
-		p.cooldown[e.PairKey()] = at.Add(p.cfg.Cooldown)
-		out = append(out, e)
-	}
-	p.last[mmsi] = ForecastPoint{Pos: pos, At: at}
-	return out
-}
-
-// Seed inserts or refreshes a vessel without running detection — the
-// bulk-preload path benchmarks use.
-func (p *ProximityDetector) Seed(mmsi ais.MMSI, pos geo.Point, at time.Time) {
-	p.last[mmsi] = ForecastPoint{Pos: pos, At: at}
-}
-
-// Size returns the number of vessels tracked in this detector.
-func (p *ProximityDetector) Size() int { return len(p.last) }
-
 // SwitchOffConfig parameterises AIS switch-off detection [9]: a silence
 // far exceeding the expected reporting cadence while the vessel was
 // under way is flagged as an intentional (or faulty) transponder

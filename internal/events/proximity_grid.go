@@ -8,9 +8,10 @@ import (
 	"seatwin/internal/geo"
 )
 
-// GridProximityDetector is the fast-path replacement for
-// ProximityDetector (which it keeps as its parity oracle — see the
-// parity tests). Semantics are identical; the cost model is not:
+// GridProximityDetector is the proximity detector the cell actors run.
+// It emits exactly the events of the map-scan oracle in oracle_test.go
+// (every tracked vessel scanned on every report); the cost model
+// differs:
 //
 //   - Tracked vessels live in a flat slot arena bucketed into a spatial
 //     micro-grid of ThresholdMeters-sized sub-bins, so an update probes

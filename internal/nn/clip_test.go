@@ -19,7 +19,7 @@ func TestGradientClippingBoundsUpdates(t *testing.T) {
 	weightDelta := func(clip float64) float64 {
 		m, _ := NewSeqRegressor(Config{InputDim: 2, Hidden: 4, OutputDim: 1, Seed: 3})
 		before := m.L1Norm()
-		m.Fit(data, FitOptions{Epochs: 1, BatchSize: 16, LR: 0.1, Workers: 1, ClipNorm: clip})
+		m.CompileTrain().Fit(data, FitOptions{Epochs: 1, BatchSize: 16, LR: 0.1, Workers: 1, ClipNorm: clip})
 		return math.Abs(m.L1Norm() - before)
 	}
 
@@ -45,10 +45,10 @@ func TestClippingOffByDefaultIsIdentical(t *testing.T) {
 	opt := FitOptions{Epochs: 2, BatchSize: 8, LR: 0.01, Workers: 1, Seed: 9}
 	a, _ := NewSeqRegressor(smallConfig(true))
 	b, _ := NewSeqRegressor(smallConfig(true))
-	la := a.Fit(data, opt)
+	la := a.CompileTrain().Fit(data, opt)
 	optHighClip := opt
 	optHighClip.ClipNorm = 1e12 // never binds
-	lb := b.Fit(data, optHighClip)
+	lb := b.CompileTrain().Fit(data, optHighClip)
 	if la != lb {
 		t.Fatalf("non-binding clip changed training: %v vs %v", la, lb)
 	}

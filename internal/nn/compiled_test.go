@@ -58,8 +58,9 @@ func TestCompiledParity(t *testing.T) {
 		// initialisation so the parity claim covers trained models.
 		data := randSamples(cfg, 8, rng)
 		m.clipNorm = 0
-		m.TrainBatch(data, 1e-2, 1)
-		m.TrainBatch(data, 1e-2, 1)
+		ref := newRefTrain(m)
+		ref.TrainBatch(data, 1e-2, 1)
+		ref.TrainBatch(data, 1e-2, 1)
 
 		c := m.Compile()
 		s := c.GetScratch()
@@ -134,7 +135,7 @@ func TestCompiledImmutable(t *testing.T) {
 	seq := randSamples(cfg, 1, rng)[0].Seq
 	c := m.Compile()
 	before := append([]float64(nil), c.Predict(seq)...)
-	m.TrainBatch(randSamples(cfg, 8, rng), 1e-2, 1)
+	m.CompileTrain().TrainBatch(randSamples(cfg, 8, rng), 1e-2, 1)
 	after := c.Predict(seq)
 	for o := range before {
 		if before[o] != after[o] {

@@ -31,7 +31,7 @@ func TestCopyWeightsFrom(t *testing.T) {
 	// Copies must be deep: training the destination must not move the
 	// source.
 	before := src.Predict(seq)
-	dst.Fit([]Sample{{Seq: seq, Target: []float64{1, -1, 0.5, -0.5}}}, FitOptions{Epochs: 2, BatchSize: 1, LR: 0.01})
+	dst.CompileTrain().Fit([]Sample{{Seq: seq, Target: []float64{1, -1, 0.5, -0.5}}}, FitOptions{Epochs: 2, BatchSize: 1, LR: 0.01})
 	if !same(before, src.Predict(seq)) {
 		t.Fatal("training the copy moved the source: weights are shared")
 	}

@@ -40,7 +40,8 @@ func (c *lstmCell) matrices() []*matrix {
 	return []*matrix{c.Wi, c.Wf, c.Wg, c.Wo, c.Bi, c.Bf, c.Bg, c.Bo}
 }
 
-// lstmStep caches one timestep's activations for backpropagation.
+// lstmStep caches one timestep's activations (the reference BPTT in
+// reference_test.go reads them back).
 type lstmStep struct {
 	x          []float64 // input at t
 	hPrev      []float64
@@ -49,17 +50,13 @@ type lstmStep struct {
 	c, h       []float64
 }
 
-// cellScratch is the reusable per-direction training arena: the
-// per-step activation caches of forward and the four BPTT state
-// buffers of backward. One scratch serves one goroutine; each model
-// (and each training replica) owns its own, so gradSample runs
-// allocation-free once the arena has grown to the longest sequence.
+// cellScratch is the reusable per-direction arena of forward: the
+// per-step activation caches plus the zero initial state. One scratch
+// serves one goroutine, so a reused scratch runs forward
+// allocation-free once it has grown to the longest sequence.
 type cellScratch struct {
 	steps  []lstmStep
 	h0, c0 []float64 // zero initial state; never written
-	dh, dc []float64
-	sp1    []float64 // dhPrev / dh swap partner
-	sp2    []float64 // dcPrev / dc swap partner
 }
 
 // ensure grows the arena to hold n steps of hidden-sized buffers.
@@ -67,10 +64,6 @@ func (sc *cellScratch) ensure(n, hidden int) {
 	if sc.h0 == nil {
 		sc.h0 = make([]float64, hidden)
 		sc.c0 = make([]float64, hidden)
-		sc.dh = make([]float64, hidden)
-		sc.dc = make([]float64, hidden)
-		sc.sp1 = make([]float64, hidden)
-		sc.sp2 = make([]float64, hidden)
 	}
 	for len(sc.steps) < n {
 		sc.steps = append(sc.steps, lstmStep{
@@ -134,69 +127,4 @@ func (c *lstmCell) forward(seq [][]float64, reverse bool, sc *cellScratch) []lst
 		cc = st.c
 	}
 	return steps
-}
-
-// backward propagates dLast (gradient w.r.t. the final hidden state)
-// through time, accumulating parameter gradients. It returns nothing:
-// input gradients are not needed because the LSTM is the first layer.
-// The BPTT state lives in the scratch arena (zeroed per step exactly
-// as the allocating form did, so the arithmetic is unchanged).
-func (c *lstmCell) backward(steps []lstmStep, dLast []float64, sc *cellScratch) {
-	dh := sc.dh[:c.Hidden]
-	dc := sc.dc[:c.Hidden]
-	copy(dh, dLast)
-	for i := range dc {
-		dc[i] = 0
-	}
-	sp1 := sc.sp1[:c.Hidden]
-	sp2 := sc.sp2[:c.Hidden]
-	for t := len(steps) - 1; t >= 0; t-- {
-		st := &steps[t]
-		dhPrev := sp1
-		dcPrev := sp2
-		for i := range dhPrev {
-			dhPrev[i] = 0
-			dcPrev[i] = 0
-		}
-		for u := 0; u < c.Hidden; u++ {
-			tanhC := math.Tanh(st.c[u])
-			do := dh[u] * tanhC
-			dcU := dc[u] + dh[u]*st.o[u]*(1-tanhC*tanhC)
-			di := dcU * st.g[u]
-			dg := dcU * st.i[u]
-			df := dcU * st.cPrev[u]
-			dcPrev[u] = dcU * st.f[u]
-
-			// Pre-activation gradients.
-			zi := di * st.i[u] * (1 - st.i[u])
-			zf := df * st.f[u] * (1 - st.f[u])
-			zg := dg * (1 - st.g[u]*st.g[u])
-			zo := do * st.o[u] * (1 - st.o[u])
-
-			c.Bi.g[u] += zi
-			c.Bf.g[u] += zf
-			c.Bg.g[u] += zg
-			c.Bo.g[u] += zo
-
-			row := u * (c.In + c.Hidden)
-			for k := 0; k < c.In; k++ {
-				xv := st.x[k]
-				c.Wi.g[row+k] += zi * xv
-				c.Wf.g[row+k] += zf * xv
-				c.Wg.g[row+k] += zg * xv
-				c.Wo.g[row+k] += zo * xv
-			}
-			for k := 0; k < c.Hidden; k++ {
-				hv := st.hPrev[k]
-				idx := row + c.In + k
-				c.Wi.g[idx] += zi * hv
-				c.Wf.g[idx] += zf * hv
-				c.Wg.g[idx] += zg * hv
-				c.Wo.g[idx] += zo * hv
-				dhPrev[k] += zi*c.Wi.W[idx] + zf*c.Wf.W[idx] + zg*c.Wg.W[idx] + zo*c.Wo.W[idx]
-			}
-		}
-		sp1, dh = dh, dhPrev
-		sp2, dc = dc, dcPrev
-	}
 }

@@ -43,19 +43,9 @@ func newMatrix(rows, cols int, scale float64, rng *rand.Rand) *matrix {
 	return m
 }
 
-func (m *matrix) at(r, c int) float64         { return m.W[r*m.Cols+c] }
-func (m *matrix) addGrad(r, c int, v float64) { m.g[r*m.Cols+c] += v }
-
 func (m *matrix) zeroGrad() {
 	for i := range m.g {
 		m.g[i] = 0
-	}
-}
-
-// addGradFrom accumulates another matrix's gradient (worker merge).
-func (m *matrix) addGradFrom(o *matrix) {
-	for i, gv := range o.g {
-		m.g[i] += gv
 	}
 }
 
@@ -86,24 +76,6 @@ func sign(v float64) float64 {
 	default:
 		return 0
 	}
-}
-
-// clone returns a matrix sharing no storage with the receiver, used to
-// give each training worker a private gradient buffer. Weights are
-// copied by reference semantics at call time (values copied).
-func (m *matrix) clone() *matrix {
-	c := &matrix{Rows: m.Rows, Cols: m.Cols,
-		W: append([]float64(nil), m.W...),
-		g: make([]float64, len(m.g)),
-		m: make([]float64, len(m.m)),
-		v: make([]float64, len(m.v)),
-	}
-	return c
-}
-
-// syncWeightsFrom copies weights (not grads/moments) from src.
-func (m *matrix) syncWeightsFrom(src *matrix) {
-	copy(m.W, src.W)
 }
 
 // l1Norm returns the sum of absolute weights (for regularisation

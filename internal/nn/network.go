@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
-	"sync"
 )
 
 // Config describes a SeqRegressor: a recurrent encoder (LSTM or BiLSTM)
@@ -31,16 +29,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// trainScratch holds the model-level reusable training buffers of the
-// reference path: the per-direction cell arenas plus the head's
-// output/gradient vectors. One scratch serves one goroutine — the
-// model's own gradSample calls, or one worker replica's.
-type trainScratch struct {
+// encodeScratch holds the buffers of one interpreted encoder pass: the
+// per-direction cell arenas and the concatenated final hidden state.
+// One scratch serves one goroutine.
+type encodeScratch struct {
 	fw, bw cellScratch
 	enc    []float64
-	dEnc   []float64
-	y      []float64
-	dy     []float64
 }
 
 // SeqRegressor maps a variable-length sequence of feature vectors to a
@@ -61,13 +55,6 @@ type SeqRegressor struct {
 	// construction, and the hot training loop walks it several times per
 	// batch.
 	mats []*matrix
-	// ts is the model's own training scratch (single-worker gradSample).
-	ts trainScratch
-	// replicas are the persistent training workers: cloned once, then
-	// re-synced (weights copied, gradients zeroed) at each batch instead
-	// of re-cloned, so steady-state TrainBatch does not allocate.
-	replicas   []*SeqRegressor
-	workerLoss []float64
 }
 
 // NewSeqRegressor builds a model with seeded random initialisation.
@@ -113,16 +100,16 @@ func (m *SeqRegressor) matrices() []*matrix { return m.mats }
 
 // encode runs the recurrent encoder in the given scratch and returns
 // the caches plus the concatenated final hidden state (a slice of
-// ts.enc, valid until the scratch is reused).
-func (m *SeqRegressor) encode(seq [][]float64, ts *trainScratch) (fwSteps, bwSteps []lstmStep, enc []float64) {
-	if ts.enc == nil {
-		ts.enc = make([]float64, m.encDim())
+// es.enc, valid until the scratch is reused).
+func (m *SeqRegressor) encode(seq [][]float64, es *encodeScratch) (fwSteps, bwSteps []lstmStep, enc []float64) {
+	if es.enc == nil {
+		es.enc = make([]float64, m.encDim())
 	}
-	fwSteps = m.fw.forward(seq, false, &ts.fw)
-	enc = ts.enc[:m.encDim()]
+	fwSteps = m.fw.forward(seq, false, &es.fw)
+	enc = es.enc[:m.encDim()]
 	copy(enc[:m.cfg.Hidden], fwSteps[len(fwSteps)-1].h)
 	if m.bw != nil {
-		bwSteps = m.bw.forward(seq, true, &ts.bw)
+		bwSteps = m.bw.forward(seq, true, &es.bw)
 		copy(enc[m.cfg.Hidden:], bwSteps[len(bwSteps)-1].h)
 	}
 	return fwSteps, bwSteps, enc
@@ -137,8 +124,8 @@ func (m *SeqRegressor) Predict(seq [][]float64) []float64 {
 	if len(seq) == 0 {
 		return y
 	}
-	var ts trainScratch
-	_, _, enc := m.encode(seq, &ts)
+	var es encodeScratch
+	_, _, enc := m.encode(seq, &es)
 	for o := 0; o < m.cfg.OutputDim; o++ {
 		z := m.ob.W[o]
 		row := o * len(enc)
@@ -156,54 +143,6 @@ type Sample struct {
 	Target []float64
 }
 
-// gradSample computes the loss for one sample and accumulates
-// gradients. All intermediate state lives in the model's training
-// scratch, so steady-state calls do not allocate.
-func (m *SeqRegressor) gradSample(s Sample) float64 {
-	ts := &m.ts
-	if ts.y == nil {
-		ts.y = make([]float64, m.cfg.OutputDim)
-		ts.dy = make([]float64, m.cfg.OutputDim)
-		ts.dEnc = make([]float64, m.encDim())
-	}
-	fwSteps, bwSteps, enc := m.encode(s.Seq, ts)
-	y := ts.y
-	for o := 0; o < m.cfg.OutputDim; o++ {
-		z := m.ob.W[o]
-		row := o * len(enc)
-		for k, e := range enc {
-			z += m.out.W[row+k] * e
-		}
-		y[o] = z
-	}
-	loss := 0.0
-	dy := ts.dy
-	for o := range y {
-		diff := y[o] - s.Target[o]
-		loss += diff * diff
-		dy[o] = 2 * diff / float64(m.cfg.OutputDim)
-	}
-	loss /= float64(m.cfg.OutputDim)
-
-	dEnc := ts.dEnc[:len(enc)]
-	for i := range dEnc {
-		dEnc[i] = 0
-	}
-	for o := 0; o < m.cfg.OutputDim; o++ {
-		m.ob.g[o] += dy[o]
-		row := o * len(enc)
-		for k, e := range enc {
-			m.out.g[row+k] += dy[o] * e
-			dEnc[k] += dy[o] * m.out.W[row+k]
-		}
-	}
-	m.fw.backward(fwSteps, dEnc[:m.cfg.Hidden], &ts.fw)
-	if m.bw != nil {
-		m.bw.backward(bwSteps, dEnc[m.cfg.Hidden:], &ts.bw)
-	}
-	return loss
-}
-
 func (m *SeqRegressor) zeroGrad() {
 	for _, mat := range m.matrices() {
 		mat.zeroGrad()
@@ -218,10 +157,10 @@ const (
 )
 
 // applyStep runs the shared tail of one optimisation step: global-norm
-// clipping over the averaged gradient, then the Adam update. Both the
-// reference TrainBatch and the compiled plan end their batches here, so
-// the optimiser semantics (and the clip observability) are one code
-// path. Reports whether the clip bound.
+// clipping over the averaged gradient, then the Adam update. The
+// compiled plan (and the reference trainer its parity tests run) end
+// their batches here, so the optimiser semantics (and the clip
+// observability) are one code path. Reports whether the clip bound.
 func (m *SeqRegressor) applyStep(lr float64, batchSize int) bool {
 	m.t++
 	clipped := false
@@ -256,88 +195,6 @@ func (m *SeqRegressor) applyStep(lr float64, batchSize int) bool {
 	return clipped
 }
 
-// ensureReplicas builds or extends the persistent worker replica set
-// and syncs each replica's weights to the master, zeroing its gradient
-// buffers — the per-batch cost that replaced the per-batch clone.
-func (m *SeqRegressor) ensureReplicas(workers int) {
-	for len(m.replicas) < workers {
-		m.replicas = append(m.replicas, m.cloneForWorker())
-	}
-	for len(m.workerLoss) < workers {
-		m.workerLoss = append(m.workerLoss, 0)
-	}
-	for w := 0; w < workers; w++ {
-		r := m.replicas[w]
-		for i, mat := range r.matrices() {
-			mat.syncWeightsFrom(m.mats[i])
-			mat.zeroGrad()
-		}
-		m.workerLoss[w] = 0
-	}
-}
-
-// TrainBatch runs one optimisation step on a batch, spreading gradient
-// computation across workers, and returns the mean sample loss.
-func (m *SeqRegressor) TrainBatch(batch []Sample, lr float64, workers int) float64 {
-	if len(batch) == 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	m.zeroGrad()
-
-	var totalLoss float64
-	if workers == 1 {
-		for _, s := range batch {
-			totalLoss += m.gradSample(s)
-		}
-	} else {
-		m.ensureReplicas(workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(batch); i += workers {
-					m.workerLoss[w] += m.replicas[w].gradSample(batch[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			totalLoss += m.workerLoss[w]
-			for i, mat := range m.replicas[w].matrices() {
-				m.mats[i].addGradFrom(mat)
-			}
-		}
-	}
-
-	m.applyStep(lr, len(batch))
-	return totalLoss / float64(len(batch))
-}
-
-// cloneForWorker copies weights into a replica with private gradient
-// buffers.
-func (m *SeqRegressor) cloneForWorker() *SeqRegressor {
-	r := &SeqRegressor{cfg: m.cfg}
-	r.fw = &lstmCell{In: m.fw.In, Hidden: m.fw.Hidden,
-		Wi: m.fw.Wi.clone(), Wf: m.fw.Wf.clone(), Wg: m.fw.Wg.clone(), Wo: m.fw.Wo.clone(),
-		Bi: m.fw.Bi.clone(), Bf: m.fw.Bf.clone(), Bg: m.fw.Bg.clone(), Bo: m.fw.Bo.clone()}
-	if m.bw != nil {
-		r.bw = &lstmCell{In: m.bw.In, Hidden: m.bw.Hidden,
-			Wi: m.bw.Wi.clone(), Wf: m.bw.Wf.clone(), Wg: m.bw.Wg.clone(), Wo: m.bw.Wo.clone(),
-			Bi: m.bw.Bi.clone(), Bf: m.bw.Bf.clone(), Bg: m.bw.Bg.clone(), Bo: m.bw.Bo.clone()}
-	}
-	r.out = m.out.clone()
-	r.ob = m.ob.clone()
-	r.mats = r.buildMatrices()
-	return r
-}
-
 // CopyWeightsFrom copies src's weights into m. The two models must
 // share the same geometry (input, hidden, output width and
 // directionality); regularisation strength and seed may differ.
@@ -356,7 +213,7 @@ func (m *SeqRegressor) CopyWeightsFrom(src *SeqRegressor) error {
 	return nil
 }
 
-// FitOptions controls Fit.
+// FitOptions controls TrainCompiled.Fit.
 type FitOptions struct {
 	Epochs    int
 	BatchSize int
@@ -376,16 +233,12 @@ type FitOptions struct {
 	OnBatch func(samples int, clipped bool)
 }
 
-// Fit trains on the dataset with shuffled mini-batches.
-func (m *SeqRegressor) Fit(data []Sample, opt FitOptions) float64 {
-	return m.fit(data, opt, nil)
-}
-
-// fit is the shared epoch/shuffle/batch loop behind the reference Fit
-// and TrainCompiled.Fit: the two paths differ only in the batch-step
-// function, so shuffling, batching, progress and observability hooks
-// behave identically (and a fixed seed yields the same batch order).
-func (m *SeqRegressor) fit(data []Sample, opt FitOptions, tc *TrainCompiled) float64 {
+// fit is the epoch/shuffle/batch loop behind TrainCompiled.Fit and the
+// reference trainer its parity tests run: the two differ only in step,
+// the batch-step function, so shuffling, batching, progress and
+// observability hooks behave identically (and a fixed seed yields the
+// same batch order).
+func (m *SeqRegressor) fit(data []Sample, opt FitOptions, step func(batch []Sample, lr float64, workers int) float64) float64 {
 	if opt.Epochs <= 0 {
 		opt.Epochs = 1
 	}
@@ -416,11 +269,7 @@ func (m *SeqRegressor) fit(data []Sample, opt FitOptions, tc *TrainCompiled) flo
 			for _, i := range idx[start:end] {
 				batch = append(batch, data[i])
 			}
-			if tc != nil {
-				sum += tc.TrainBatch(batch, opt.LR, opt.Workers)
-			} else {
-				sum += m.TrainBatch(batch, opt.LR, opt.Workers)
-			}
+			sum += step(batch, opt.LR, opt.Workers)
 			batches++
 			if opt.OnBatch != nil {
 				opt.OnBatch(len(batch), m.lastClipped)

@@ -39,9 +39,10 @@ func sampleLoss(m *SeqRegressor, s Sample) float64 {
 	return loss / float64(len(y))
 }
 
-// TestGradientCheck verifies the analytic BPTT gradients against
-// central finite differences for every parameter block. This is the
-// load-bearing test of the whole package: if it passes, training works.
+// TestGradientCheck verifies the reference trainer's analytic BPTT
+// gradients against central finite differences for every parameter
+// block. It is what makes the reference a trustworthy oracle for
+// TestTrainCompiledGradientParity.
 func TestGradientCheck(t *testing.T) {
 	for _, bidir := range []bool{false, true} {
 		m, err := NewSeqRegressor(smallConfig(bidir))
@@ -52,7 +53,7 @@ func TestGradientCheck(t *testing.T) {
 		s := randomSample(rng, 6, 2, 3)
 
 		m.zeroGrad()
-		m.gradSample(s)
+		newRefTrain(m).gradSample(s)
 
 		const eps = 1e-6
 		for bi, mat := range m.matrices() {
@@ -93,7 +94,7 @@ func TestLearnsLinearMap(t *testing.T) {
 		data[i] = s
 	}
 	before := m.MSE(data)
-	m.Fit(data, FitOptions{Epochs: 60, BatchSize: 32, LR: 0.01, Workers: 1, Seed: 3})
+	m.CompileTrain().Fit(data, FitOptions{Epochs: 60, BatchSize: 32, LR: 0.01, Workers: 1, Seed: 3})
 	after := m.MSE(data)
 	if after > before*0.1 {
 		t.Fatalf("did not learn: before %.5f after %.5f", before, after)
@@ -115,8 +116,8 @@ func TestBiLSTMUsesFutureContext(t *testing.T) {
 	uni, _ := NewSeqRegressor(Config{InputDim: 2, Hidden: 6, OutputDim: 1, Seed: 9})
 	bi, _ := NewSeqRegressor(Config{InputDim: 2, Hidden: 6, OutputDim: 1, Bidirectional: true, Seed: 9})
 	opt := FitOptions{Epochs: 15, BatchSize: 32, LR: 0.02, Workers: 1, Seed: 5}
-	uni.Fit(data, opt)
-	bi.Fit(data, opt)
+	uni.CompileTrain().Fit(data, opt)
+	bi.CompileTrain().Fit(data, opt)
 	mu, mb := uni.MSE(data), bi.MSE(data)
 	if mb >= mu {
 		t.Fatalf("BiLSTM (%.5f) not better than LSTM (%.5f) on future-context task", mb, mu)
@@ -132,8 +133,8 @@ func TestL1RegularisationShrinksWeights(t *testing.T) {
 	plain, _ := NewSeqRegressor(smallConfig(true))
 	reg, _ := NewSeqRegressor(Config{InputDim: 2, Hidden: 5, OutputDim: 3, Bidirectional: true, L1: 0.01, Seed: 42})
 	opt := FitOptions{Epochs: 20, BatchSize: 16, LR: 0.01, Workers: 1, Seed: 8}
-	plain.Fit(data, opt)
-	reg.Fit(data, opt)
+	plain.CompileTrain().Fit(data, opt)
+	reg.CompileTrain().Fit(data, opt)
 	if reg.L1Norm() >= plain.L1Norm() {
 		t.Fatalf("L1 norm with reg %.3f >= without %.3f", reg.L1Norm(), plain.L1Norm())
 	}
@@ -172,8 +173,8 @@ func TestTrainingDeterministicSingleWorker(t *testing.T) {
 	opt := FitOptions{Epochs: 3, BatchSize: 16, LR: 0.01, Workers: 1, Seed: 17}
 	a, _ := NewSeqRegressor(smallConfig(true))
 	b, _ := NewSeqRegressor(smallConfig(true))
-	la := a.Fit(data, opt)
-	lb := b.Fit(data, opt)
+	la := a.CompileTrain().Fit(data, opt)
+	lb := b.CompileTrain().Fit(data, opt)
 	if la != lb {
 		t.Fatalf("losses diverged: %v vs %v", la, lb)
 	}
@@ -196,7 +197,7 @@ func TestParallelWorkersLearnToo(t *testing.T) {
 	}
 	m, _ := NewSeqRegressor(Config{InputDim: 2, Hidden: 8, OutputDim: 1, Bidirectional: true, Seed: 21})
 	before := m.MSE(data)
-	m.Fit(data, FitOptions{Epochs: 30, BatchSize: 32, LR: 0.01, Workers: 4, Seed: 13})
+	m.CompileTrain().Fit(data, FitOptions{Epochs: 30, BatchSize: 32, LR: 0.01, Workers: 4, Seed: 13})
 	after := m.MSE(data)
 	if after > before*0.3 {
 		t.Fatalf("parallel training did not learn: before %.5f after %.5f", before, after)
@@ -210,7 +211,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = randomSample(rng, 4, 2, 3)
 	}
-	m.Fit(data, FitOptions{Epochs: 2, BatchSize: 8, LR: 0.01, Workers: 1, Seed: 1})
+	m.CompileTrain().Fit(data, FitOptions{Epochs: 2, BatchSize: 8, LR: 0.01, Workers: 1, Seed: 1})
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -324,7 +325,7 @@ func TestProgressCallbackEarlyStop(t *testing.T) {
 		data[i] = randomSample(rng, 4, 2, 3)
 	}
 	calls := 0
-	m.Fit(data, FitOptions{Epochs: 50, BatchSize: 8, LR: 0.01, Workers: 1,
+	m.CompileTrain().Fit(data, FitOptions{Epochs: 50, BatchSize: 8, LR: 0.01, Workers: 1,
 		Progress: func(epoch int, loss float64) bool {
 			calls++
 			return epoch < 2 // stop after the third epoch
@@ -341,18 +342,5 @@ func BenchmarkPredict20Steps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(s.Seq)
-	}
-}
-
-func BenchmarkTrainBatch(b *testing.B) {
-	m, _ := NewSeqRegressor(Config{InputDim: 3, Hidden: 32, OutputDim: 12, Bidirectional: true, Seed: 1})
-	rng := rand.New(rand.NewSource(20))
-	batch := make([]Sample, 32)
-	for i := range batch {
-		batch[i] = randomSample(rng, 20, 3, 12)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TrainBatch(batch, 1e-3, 1)
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// This file implements the compiled training fast path. The reference
-// trainer (lstm.go / network.go) walks four separate per-gate matrices
-// in both directions of both passes; profiling shows >90% of a training
+// This file implements the compiled trainer, the only production
+// trainer. Its parity oracle, the reference trainer in
+// reference_test.go, walks four separate per-gate matrices in both
+// directions of both passes; profiling shows >90% of a training
 // step is the two GEMV-shaped loop nests — forward pre-activations and
 // the backward hidden-state gradient — plus the rank-1 weight-gradient
 // updates. All three are exactly the memory shapes the PR 3 fused
@@ -539,9 +540,9 @@ func (tc *TrainCompiled) TrainBatch(batch []Sample, lr float64, workers int) flo
 	return total / float64(len(batch))
 }
 
-// Fit trains through the compiled path with the shared epoch/shuffle
-// loop, so a fixed seed visits batches in the same order as the
-// reference Fit.
+// Fit trains on the dataset with shuffled mini-batches. The
+// epoch/shuffle loop is shared with the reference trainer, so a fixed
+// seed visits batches in the same order on both.
 func (tc *TrainCompiled) Fit(data []Sample, opt FitOptions) float64 {
-	return tc.m.fit(data, opt, tc)
+	return tc.m.fit(data, opt, tc.TrainBatch)
 }

@@ -22,9 +22,10 @@ func trainConfigs() []Config {
 // copy of every parameter block's accumulated gradient.
 func refGrads(m *SeqRegressor, samples []Sample) ([][]float64, float64) {
 	m.zeroGrad()
+	ref := newRefTrain(m)
 	loss := 0.0
 	for _, s := range samples {
-		loss += m.gradSample(s)
+		loss += ref.gradSample(s)
 	}
 	out := make([][]float64, len(m.matrices()))
 	for i, mat := range m.matrices() {
@@ -50,8 +51,9 @@ func TestTrainCompiledGradientParity(t *testing.T) {
 		// contract covers trained-scale parameters.
 		warm := randSamples(cfg, 8, rng)
 		m.clipNorm = 0
-		m.TrainBatch(warm, 1e-2, 1)
-		m.TrainBatch(warm, 1e-2, 1)
+		ref := newRefTrain(m)
+		ref.TrainBatch(warm, 1e-2, 1)
+		ref.TrainBatch(warm, 1e-2, 1)
 
 		samples := randSamples(cfg, 6, rng)
 		want, refLoss := refGrads(m, samples)
@@ -169,7 +171,7 @@ func TestTrainCompiledLossCurve(t *testing.T) {
 			refCurve = append(refCurve, loss)
 			return true
 		}
-		ref.Fit(data, opt)
+		newRefTrain(ref).Fit(data, opt)
 
 		fast, _ := NewSeqRegressor(cfg)
 		opt.Progress = func(_ int, loss float64) bool {
@@ -241,17 +243,18 @@ func TestTrainBatchReferencePersistentReplicas(t *testing.T) {
 		data[i] = randomSample(rng, 5, cfg.InputDim, cfg.OutputDim)
 	}
 	opt := FitOptions{Epochs: 3, BatchSize: 16, LR: 0.01, Workers: 3, Seed: 59}
-	run := func() (*SeqRegressor, float64) {
+	run := func() (*refTrain, float64) {
 		m, _ := NewSeqRegressor(cfg)
-		loss := m.Fit(data, opt)
-		return m, loss
+		ref := newRefTrain(m)
+		loss := ref.Fit(data, opt)
+		return ref, loss
 	}
 	a, la := run()
 	b, lb := run()
 	if la != lb {
 		t.Fatalf("reference multi-worker losses diverged: %v vs %v", la, lb)
 	}
-	ya, yb := a.Predict(data[0].Seq), b.Predict(data[0].Seq)
+	ya, yb := a.m.Predict(data[0].Seq), b.m.Predict(data[0].Seq)
 	for o := range ya {
 		if ya[o] != yb[o] {
 			t.Fatal("reference multi-worker weights diverged across runs")
@@ -285,19 +288,21 @@ func TestTrainBatchAllocsBounded(t *testing.T) {
 	}
 
 	m, _ := NewSeqRegressor(cfg)
-	m.TrainBatch(batch, 1e-3, 1) // warm the scratch arenas
+	ref := newRefTrain(m)
+	ref.TrainBatch(batch, 1e-3, 1) // warm the scratch arenas
 	if avg := testing.AllocsPerRun(20, func() {
-		m.TrainBatch(batch, 1e-3, 1)
+		ref.TrainBatch(batch, 1e-3, 1)
 	}); avg > 2 {
 		t.Fatalf("single-worker TrainBatch allocates %v per step, want <= 2", avg)
 	}
 
 	m2, _ := NewSeqRegressor(cfg)
-	m2.TrainBatch(batch, 1e-3, 2) // warm replicas
+	ref2 := newRefTrain(m2)
+	ref2.TrainBatch(batch, 1e-3, 2) // warm replicas
 	// The multi-worker path pays per-goroutine spawn costs but must not
 	// re-clone replicas or re-allocate worker scratch.
 	if avg := testing.AllocsPerRun(20, func() {
-		m2.TrainBatch(batch, 1e-3, 2)
+		ref2.TrainBatch(batch, 1e-3, 2)
 	}); avg > 16 {
 		t.Fatalf("two-worker TrainBatch allocates %v per step, want <= 16", avg)
 	}
@@ -362,8 +367,8 @@ func TestTrainCompiledEdgeShapes(t *testing.T) {
 }
 
 // BenchmarkTrainBatchPaths compares one optimisation step on the
-// serving-shape model across the four path/worker combinations the
-// BENCH_PR8 harness records.
+// serving-shape model across reference/compiled trainers at one and two
+// workers, in ns per sample.
 func BenchmarkTrainBatchPaths(b *testing.B) {
 	cfg := Config{InputDim: 3, Hidden: 32, OutputDim: 12, Bidirectional: true, Seed: 1}
 	rng := rand.New(rand.NewSource(20))
@@ -383,17 +388,13 @@ func BenchmarkTrainBatchPaths(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m, _ := NewSeqRegressor(cfg)
-			var tc *TrainCompiled
+			step := newRefTrain(m).TrainBatch
 			if bc.compiled {
-				tc = m.CompileTrain()
+				step = m.CompileTrain().TrainBatch
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if tc != nil {
-					tc.TrainBatch(batch, 1e-3, bc.workers)
-				} else {
-					m.TrainBatch(batch, 1e-3, bc.workers)
-				}
+				step(batch, 1e-3, bc.workers)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/sample")
 		})

@@ -83,6 +83,27 @@ func TestDetectionMetricsExposed(t *testing.T) {
 	}
 }
 
+// The collision actors' grid sweep slides tracks in whole 15-second
+// ticks, so New must refuse a temporal threshold off that grid instead
+// of running a detector that cannot honour it.
+func TestNewRejectsUnalignedCollisionThreshold(t *testing.T) {
+	for _, tt := range []time.Duration{100 * time.Second, -15 * time.Second} {
+		cfg := DefaultConfig(events.NewKinematicForecaster())
+		cfg.Collision.TemporalThreshold = tt
+		if p, err := New(cfg); err == nil {
+			p.Shutdown(time.Second)
+			t.Fatalf("New accepted Collision.TemporalThreshold %v", tt)
+		}
+	}
+	cfg := DefaultConfig(events.NewKinematicForecaster())
+	cfg.Collision.TemporalThreshold = 2 * time.Minute
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New rejected a 2-minute threshold: %v", err)
+	}
+	p.Shutdown(time.Second)
+}
+
 // The occupancy gauge must return to zero when idle cells passivate:
 // the Stopping decrement runs before the passivator sees the message.
 func TestDetectionTrackedGaugeDropsOnPassivation(t *testing.T) {

@@ -343,6 +343,9 @@ func New(cfg Config) (_ *Pipeline, err error) {
 	if cfg.Forecaster == nil {
 		return nil, fmt.Errorf("pipeline: a forecaster is required")
 	}
+	if err := cfg.Collision.Validate(); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
 	if cfg.HistoryLimit < 24 {
 		cfg.HistoryLimit = 48
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // populate stages n vessels and refreshes once.
-func populate(b *testing.B, v *Views, n int) {
-	b.Helper()
+func populate(tb testing.TB, v *Views, n int) {
+	tb.Helper()
 	ts := time.Date(2023, 9, 18, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
 		v.ApplyState(VesselState{
@@ -27,6 +27,35 @@ func populate(b *testing.B, v *Views, n int) {
 		})
 	}
 	v.Refresh()
+}
+
+// TestSnapshotReadZeroAlloc gates the zero-alloc claim
+// BenchmarkSnapshotRead measures: at the default limit, a /api/vessels
+// read from the current snapshot allocates nothing, with or without a
+// bounding box.
+func TestSnapshotReadZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	v := New(Config{RefreshInterval: -1})
+	defer v.Close()
+	populate(t, v, 2000)
+	box := geo.BBox{MinLat: 35, MinLon: 22.5, MaxLat: 36, MaxLon: 24}
+	for _, c := range []struct {
+		name string
+		box  *geo.BBox
+	}{{"no-bbox", nil}, {"bbox", &box}} {
+		var n int
+		allocs := testing.AllocsPerRun(200, func() {
+			n, _ = v.Vessels().WriteJSON(io.Discard, v.cfg.DefaultLimit, c.box)
+		})
+		if n != v.cfg.DefaultLimit {
+			t.Fatalf("%s: wrote %d vessels, want the default limit %d", c.name, n, v.cfg.DefaultLimit)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: snapshot read allocates %v/op, want 0", c.name, allocs)
+		}
+	}
 }
 
 // BenchmarkSnapshotRead is the zero-alloc claim: serving /api/vessels
