@@ -20,6 +20,11 @@ type ForecastPoint struct {
 type Forecast struct {
 	MMSI   ais.MMSI
 	Points []ForecastPoint
+	// Cells is the sorted, duplicate-free set of collision cells the
+	// forecast is delivered to (see CellTracer), nil when unknown. Two
+	// forecasts' sets decide which single cell sweeps their pair (see
+	// GridDetector.SetCell). Shared read-only between receivers.
+	Cells []uint64
 }
 
 // CollisionConfig parameterises the §5.2 algorithm.
@@ -124,32 +129,33 @@ func interpAt(f Forecast, t time.Time) (geo.Point, bool) {
 	return pts[len(pts)-1].Pos, true
 }
 
+// rawPrefilter is the pair check's cheap first stage: if the closest
+// pair of raw forecast points is further than the vessels can close
+// within one 5-minute interval plus the threshold, no interpolated pass
+// can succeed.
+func rawPrefilter(a, b []ForecastPoint, cfg CollisionConfig) bool {
+	minRaw := 1e18
+	for _, pa := range a {
+		for _, pb := range b {
+			if d := geo.FastDistance(pa.Pos, pb.Pos); d < minRaw {
+				minRaw = d
+			}
+		}
+	}
+	return minRaw <= cfg.SpatialThresholdMeters+prefilterMarginMeters
+}
+
 // CheckPair applies the two-stage §5.2 test to a pair of forecast
 // trajectories: temporal intersection (the vessels occupy nearby
 // positions at times differing by at most the temporal threshold)
 // followed by spatial intersection of the interpolated forecast tracks.
 // It returns the most severe (closest) predicted encounter.
 func CheckPair(a, b Forecast, cfg CollisionConfig) (Event, bool) {
-	if len(a.Points) == 0 || len(b.Points) == 0 {
+	if len(a.Points) == 0 || len(b.Points) == 0 || !rawPrefilter(a.Points, b.Points, cfg) {
 		return Event{}, false
 	}
 	best := Event{Kind: KindCollisionForecast, A: a.MMSI, B: b.MMSI, Meters: cfg.SpatialThresholdMeters}
 	found := false
-
-	// Cheap prefilter: if the closest pair of raw forecast points is
-	// further than the vessels can close within one 5-minute interval
-	// plus the threshold, no interpolated pass can succeed.
-	minRaw := 1e18
-	for _, pa := range a.Points {
-		for _, pb := range b.Points {
-			if d := geo.FastDistance(pa.Pos, pb.Pos); d < minRaw {
-				minRaw = d
-			}
-		}
-	}
-	if minRaw > cfg.SpatialThresholdMeters+prefilterMarginMeters {
-		return Event{}, false
-	}
 
 	firstA, lastA := tickRange(a)
 	for k := firstA; k <= lastA; k++ {

@@ -21,9 +21,10 @@ const collBinMeters = 15000.0
 // is compared against 3–4 of B's blocks.
 const sweepBlockTicks = 8
 
-// GridDetector is the collision detector the collision actors run. It
-// emits exactly the events of the map-scan oracle in oracle_test.go
-// (CheckPair against every live forecast); the cost model differs:
+// GridDetector is the collision detector the collision actors run.
+// Until it is told its cell, it emits exactly the events of the
+// map-scan oracle in oracle_test.go (CheckPair against every live
+// forecast); the cost model differs:
 //
 //   - Each forecast is interpolated ONCE at insert onto the
 //     epoch-aligned checkStep tick grid (see collision.go) into a
@@ -46,12 +47,20 @@ const sweepBlockTicks = 8
 //     cutoff is still applied inline to probed candidates, which keeps
 //     emitted events identical regardless of when the ring physically
 //     frees a slot.
+//   - A detector that knows its cell (SetCell) emits a subset of those
+//     events: it sweeps only the pairs it owns, those whose two
+//     forecasts' delivery sets (Forecast.Cells) meet first in this
+//     cell. Every other cell holding both forecasts defers the pair, so
+//     across the cells each pair is swept once.
 //
 // The detector is not safe for concurrent use; each collision actor
 // owns one.
 type GridDetector struct {
 	cfg      CollisionConfig
 	expireNs int64
+	// cell is the collision cell this detector serves, 0 when unknown
+	// (then every pair is swept, as by the oracle).
+	cell uint64
 
 	// slideTicks is ±TemporalThreshold in ticks: the slide lands exactly
 	// on tick boundaries, so precomputed samples serve every pair check.
@@ -100,6 +109,8 @@ type collSlot struct {
 	raw      []ForecastPoint
 	centroid geo.Point
 	radius   float64
+	// cells is the forecast's delivery set, empty when unknown.
+	cells []uint64
 
 	firstTick int64
 	lastTick  int64
@@ -139,6 +150,11 @@ func NewGridDetector(cfg CollisionConfig, expire time.Duration) *GridDetector {
 	d.pruneMargin = (cfg.SpatialThresholdMeters+prefilterMarginMeters)*1.25 + 1000
 	return d
 }
+
+// SetCell tells the detector which collision cell it serves, so it can
+// defer the pairs another cell owns (see ownerCell). Call it once,
+// before the first Update.
+func (d *GridDetector) SetCell(cell uint64) { d.cell = cell }
 
 func (d *GridDetector) setOrigin(pos geo.Point) {
 	d.originSet = true
@@ -224,14 +240,15 @@ func (d *GridDetector) commitSlot(si int32, mmsi ais.MMSI, nowNs int64) {
 }
 
 // fillSlot copies the forecast into the slot's recycled arenas:
-// raw points, bounding circle, registration rectangle, and the
-// precomputed tick samples with their block boxes.
+// raw points, delivery cells, bounding circle, registration rectangle,
+// and the precomputed tick samples with their block boxes.
 func (d *GridDetector) fillSlot(si int32, f Forecast, nowNs int64) {
 	s := &d.slots[si]
 	s.mmsi = f.MMSI
 	s.stampNs = nowNs
 	s.live = true
 	s.raw = s.raw[:0]
+	s.cells = append(s.cells[:0], f.Cells...)
 	s.samples = s.samples[:0]
 	s.boxes = s.boxes[:0]
 	s.binPos = s.binPos[:0]
@@ -423,17 +440,15 @@ func (d *GridDetector) checkCandidate(a, c *collSlot, f Forecast, now time.Time,
 	if !a.wide && !c.wide && geo.FastDistance(a.centroid, c.centroid) > a.radius+c.radius+d.pruneMargin {
 		return
 	}
-	// Exact oracle prefilter: minimum raw-point distance, same iteration
-	// order, same cutoff.
-	minRaw := 1e18
-	for _, pa := range f.Points {
-		for _, pb := range c.raw {
-			if dd := geo.FastDistance(pa.Pos, pb.Pos); dd < minRaw {
-				minRaw = dd
-			}
-		}
+	// Ownership: when both delivery sets are known, every cell they
+	// share received both forecasts, and only the smallest sweeps the
+	// pair (see ownerCell).
+	if d.cell != 0 && len(a.cells) > 0 && len(c.cells) > 0 && ownerCell(a.cells, c.cells) != d.cell {
+		d.stats.Deferred++
+		return
 	}
-	if minRaw > d.cfg.SpatialThresholdMeters+prefilterMarginMeters {
+	// The oracle's exact prefilter.
+	if !rawPrefilter(f.Points, c.raw, d.cfg) {
 		return
 	}
 	d.stats.Checked++

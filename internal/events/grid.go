@@ -63,6 +63,9 @@ type DetectorStats struct {
 	// Candidates counts entries that survived the spatial prune and
 	// were inspected pairwise.
 	Candidates int64
+	// Deferred counts candidates left to the cell that owns the pair
+	// (collision only; see GridDetector.SetCell).
+	Deferred int64
 	// Checked counts exact pairwise checks run (distance checks for
 	// proximity, track sweeps for collision).
 	Checked int64

@@ -123,3 +123,53 @@ func TestGridCollisionUpdateZeroAllocSVRFShape(t *testing.T) {
 		t.Fatalf("GridDetector.Update allocates %v/op in steady state on the 30-minute shape, want 0", allocs)
 	}
 }
+
+// The owner path on the same churn: forecasts carry their delivery cell
+// sets (copied into a recycled arena per slot) and the detector serves
+// the cell that owns the most pairs, so owned sweeps with emission and
+// deferred pairs both run inside the measured loop.
+func TestGridCollisionUpdateZeroAllocOwned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	fleet := newCollisionFleet(60, 3000, 5).withSVRFShape()
+	fcs := make([]Forecast, len(fleet.mmsi))
+	var tr CellTracer
+	for i := range fcs {
+		fcs[i] = fleet.forecast(i, t0)
+		fcs[i].Cells = tr.Cells(fcs[i], ownerTestResolution)
+	}
+	owners := map[uint64]int{}
+	var cell uint64
+	for i := range fcs {
+		for j := i + 1; j < len(fcs); j++ {
+			o := ownerCell(fcs[i].Cells, fcs[j].Cells)
+			if owners[o]++; o != 0 && (cell == 0 || owners[o] > owners[cell]) {
+				cell = o
+			}
+		}
+	}
+	d := NewGridDetector(DefaultCollisionConfig(), 30*time.Second)
+	d.SetCell(cell)
+	now := t0
+	emitted := 0
+	for r := 0; r < 4; r++ {
+		for i := range fcs {
+			now = now.Add(time.Second)
+			emitted += len(d.Update(fcs[i], now))
+		}
+	}
+	if st := d.Stats(); emitted == 0 || st.Deferred == 0 || st.Evicted == 0 {
+		t.Fatalf("warm-up emitted %d events, deferred %d pairs and evicted %d slots; the gate would not cover all three",
+			emitted, st.Deferred, st.Evicted)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		now = now.Add(time.Second)
+		d.Update(fcs[i%len(fcs)], now)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("GridDetector.Update allocates %v/op in steady state on the owner path, want 0", allocs)
+	}
+}

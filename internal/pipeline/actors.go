@@ -68,11 +68,10 @@ type vesselActor struct {
 	dirty     bool
 
 	// Fan-out scratch, reused across reports (the actor is
-	// single-threaded): cell lists from the hexgrid Append* helpers and
-	// the per-report dedup set of forecast cells.
+	// single-threaded): the proximity cell list and the forecast cell
+	// tracer's buffers.
 	cellScratch []hexgrid.Cell
-	diskScratch []hexgrid.Cell
-	seenCells   map[hexgrid.Cell]struct{}
+	tracer      events.CellTracer
 }
 
 func newVesselActor(p *Pipeline, mmsi ais.MMSI) *vesselActor {
@@ -195,35 +194,16 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 		}
 		// Forecasts go to the collision actors of every cell the
 		// predicted track crosses plus each nearest neighbour (§5.2:
-		// "the respective cell n and each n+1 nearest cell"). Tracing
-		// the segments between forecast points keeps fast vessels from
-		// skipping cells that lie between two 5-minute positions.
+		// "the respective cell n and each n+1 nearest cell"), in the
+		// sorted order of the cell set the forecast carries: the
+		// receivers use the sets to agree on the one cell that sweeps
+		// each pair.
 		if haveForecast {
-			if v.seenCells == nil {
-				v.seenCells = make(map[hexgrid.Cell]struct{}, 32)
-			}
-			seen := v.seenCells
-			clear(seen)
-			for i := 1; i < len(forecast.Points); i++ {
-				v.cellScratch = hexgrid.AppendTraceLine(v.cellScratch[:0],
-					forecast.Points[i-1].Pos, forecast.Points[i].Pos,
-					v.p.cfg.CollisionResolution)
-				for _, cell := range v.cellScratch {
-					if _, dup := seen[cell]; dup {
-						continue
-					}
-					seen[cell] = struct{}{}
-					v.diskScratch = cell.AppendGridDisk(v.diskScratch[:0], 1)
-					for _, n := range v.diskScratch {
-						if _, dup := seen[n]; !dup {
-							seen[n] = struct{}{}
-						}
-					}
-				}
-			}
+			forecast.Cells = v.tracer.Cells(forecast, v.p.cfg.CollisionResolution)
 			var fm any = forecastMsg{forecast: forecast, at: r.Timestamp}
-			for cell := range seen {
-				if cl := v.p.cl; cl != nil && !cl.owns(uint64(cell)) {
+			for _, id := range forecast.Cells {
+				cell := hexgrid.Cell(id)
+				if cl := v.p.cl; cl != nil && !cl.owns(id) {
 					cl.forwardForecast(cell, forecast, r.Timestamp)
 					continue
 				}
@@ -341,9 +321,9 @@ func (a *collisionActor) Receive(c *actor.Context) {
 	a.p.collDet.updateLat.Observe(a.hint, time.Since(start))
 	a.pushDetectorStats()
 	for _, e := range evs {
-		// Several collision actors can see the same pair (the forecast
-		// is shared with every touched cell and its neighbours); the
-		// pipeline deduplicates system-wide.
+		// The detector sweeps only the pairs this cell owns, so a pass
+		// emits each pair once; the pipeline-wide cooldown suppresses
+		// the repeats of later passes.
 		if !a.p.shouldEmitPair("cx/"+e.PairKey(), m.at, 5*time.Minute) {
 			continue
 		}
@@ -363,6 +343,7 @@ func (a *collisionActor) pushDetectorStats() {
 	a.tracked = size
 	st := a.detector.Stats()
 	a.p.collDet.candidates.Inc(a.hint, st.Candidates-a.lastStats.Candidates)
+	a.p.collDet.deferred.Inc(a.hint, st.Deferred-a.lastStats.Deferred)
 	a.p.collDet.checked.Inc(a.hint, st.Checked-a.lastStats.Checked)
 	a.p.collDet.evictions.Inc(a.hint, st.Evicted-a.lastStats.Evicted)
 	a.lastStats = st

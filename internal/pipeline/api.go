@@ -134,13 +134,14 @@ func (a *API) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // detectionDoc renders one detector family's telemetry for /api/stats.
 func detectionDoc(d DetectionStats) map[string]any {
 	return map[string]any{
-		"update_mean":   d.UpdateLatency.Mean.String(),
-		"update_p99":    d.UpdateLatency.P99.String(),
-		"updates":       d.UpdateLatency.Count,
-		"candidates":    d.Candidates,
-		"pairs_checked": d.Checked,
-		"evictions":     d.Evicted,
-		"tracked":       d.Tracked,
+		"update_mean":    d.UpdateLatency.Mean.String(),
+		"update_p99":     d.UpdateLatency.P99.String(),
+		"updates":        d.UpdateLatency.Count,
+		"candidates":     d.Candidates,
+		"pairs_deferred": d.Deferred,
+		"pairs_checked":  d.Checked,
+		"evictions":      d.Evicted,
+		"tracked":        d.Tracked,
 	}
 }
 
@@ -521,6 +522,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		fmt.Fprintf(&b, "%s_update_seconds_count %d\n", base, fam.d.UpdateLatency.Count)
 		counter(base+"_candidates_total", fam.name+" pair candidates surviving the spatial probe", float64(fam.d.Candidates))
+		counter(base+"_pairs_deferred_total", fam.name+" candidate pairs left to the cell that owns them", float64(fam.d.Deferred))
 		counter(base+"_pairs_checked_total", fam.name+" candidate pairs fully distance-checked", float64(fam.d.Checked))
 		counter(base+"_evictions_total", "stale "+fam.name+" detector entries evicted", float64(fam.d.Evicted))
 		gauge(base+"_tracked", "entries tracked across live "+fam.name+" cells", float64(fam.d.Tracked))

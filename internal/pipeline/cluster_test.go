@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -289,4 +290,119 @@ func TestDrainWaitsForForwardFlush(t *testing.T) {
 	if cs.Forwards != int64(foreign) {
 		t.Fatalf("Drain returned before the flush: %d/%d forwards produced", cs.Forwards, foreign)
 	}
+}
+
+// TestClusterPairEmittedOncePerCooldown counts the collision events of
+// one converging pair, in one process and across the two workers of a
+// cluster whose cells split the pair's shared cells between them. Each
+// vessel reports three times inside one 5-minute cooldown, so each mode
+// must report the pair exactly once. Without the owner rule every cell
+// holding both forecasts sweeps the pair and each worker's cooldown
+// only covers its own cells: the cluster reported the pair once per
+// worker. The cell sets that decide the owner ride ForwardedForecast,
+// so the cluster case also proves they cross the forward topic intact.
+func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
+	start := geo.Point{Lat: 35, Lon: 21}
+	// Head-on at 12 kn each, 6 km apart: the forecasts meet within
+	// 10 minutes.
+	tracks := []struct {
+		mmsi  ais.MMSI
+		start geo.Point
+		cog   float64
+	}{
+		{940000001, start, 90},
+		{940000002, geo.Destination(start, 90, 6000), 270},
+	}
+	report := func(i, step int) (ais.PositionReport, time.Time) {
+		tr := tracks[i]
+		at := t0.Add(time.Duration(step)*30*time.Second + time.Duration(i)*time.Second)
+		pos := geo.DeadReckon(tr.start, 12, tr.cog, at.Sub(t0).Seconds())
+		return ais.PositionReport{
+			MMSI: tr.mmsi, Lat: pos.Lat, Lon: pos.Lon, SOG: 12, COG: tr.cog,
+			Status: ais.StatusUnderWayEngine, Timestamp: at,
+		}, at
+	}
+	pairEvents := func(workers ...*Pipeline) int {
+		n := 0
+		for _, p := range workers {
+			for _, e := range p.EventLog().ByKind(events.KindCollisionForecast) {
+				if e.PairKey() == (events.Event{A: tracks[0].mmsi, B: tracks[1].mmsi}).PairKey() {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	const steps = 3
+
+	t.Run("single-process", func(t *testing.T) {
+		p := newTestPipeline(t)
+		for step := 0; step < steps; step++ {
+			for i := range tracks {
+				p.Ingest(report(i, step))
+			}
+			p.Drain(5 * time.Second)
+		}
+		if n := pairEvents(p); n != 1 {
+			t.Fatalf("pair reported %d times in one cooldown, want 1", n)
+		}
+	})
+
+	t.Run("two-workers", func(t *testing.T) {
+		store := kvstore.New()
+		defer store.Close()
+		br := broker.New()
+		coord, err := cluster.NewCoordinator(cluster.CoordinatorOptions{
+			Partitions:       8,
+			HeartbeatTimeout: time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		a := newClusterWorker(t, store, br, coord, "a", events.NewKinematicForecaster(), nil)
+		defer a.Shutdown(5 * time.Second)
+		b := newClusterWorker(t, store, br, coord, "b", events.NewKinematicForecaster(), nil)
+		defer b.Shutdown(5 * time.Second)
+		waitFor(t, 15*time.Second, "4/4 partition split", func() bool {
+			return a.Stats().Cluster.OwnedPartitions == 4 && b.Stats().Cluster.OwnedPartitions == 4
+		})
+
+		// Precondition: the first forecasts share cells on both workers.
+		var tracer events.CellTracer
+		var sets [2][]uint64
+		for i := range tracks {
+			r, _ := report(i, 0)
+			f, _ := events.NewKinematicForecaster().ForecastTrack([]ais.PositionReport{r})
+			sets[i] = tracer.Cells(f, DefaultConfig(nil).CollisionResolution)
+		}
+		onA, onB := 0, 0
+		for _, c := range sets[0] {
+			if slices.Contains(sets[1], c) {
+				if a.OwnsKey(c) {
+					onA++
+				} else {
+					onB++
+				}
+			}
+		}
+		if onA == 0 || onB == 0 {
+			t.Fatalf("shared cells do not span both workers: %d on a, %d on b", onA, onB)
+		}
+
+		for step := 0; step < steps; step++ {
+			for i := range tracks {
+				r, at := report(i, step)
+				if a.OwnsKey(uint64(r.MMSI)) {
+					a.Ingest(r, at)
+				} else {
+					b.Ingest(r, at)
+				}
+			}
+			drainCluster(t, br, a, b)
+		}
+		if n := pairEvents(a, b); n != 1 {
+			t.Fatalf("pair reported %d times in one cooldown across two workers, want 1", n)
+		}
+	})
 }

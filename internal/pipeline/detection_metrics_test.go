@@ -43,6 +43,15 @@ func TestDetectionMetricsExposed(t *testing.T) {
 	if s.CollisionDetection.Candidates == 0 {
 		t.Fatalf("collision candidate funnel empty: %+v", s.CollisionDetection)
 	}
+	// The pair's forecasts share several cells but only one owns the
+	// pair: the others defer it, and deferred pairs are never checked.
+	// Proximity has no owner rule.
+	if c := s.CollisionDetection; c.Deferred == 0 || c.Checked > c.Candidates-c.Deferred {
+		t.Fatalf("collision funnel defers nothing or checks deferred pairs: %+v", c)
+	}
+	if s.ProximityDetection.Deferred != 0 {
+		t.Fatalf("proximity deferred %d pairs, want 0", s.ProximityDetection.Deferred)
+	}
 	if len(p.EventLog().ByKind(events.KindProximity)) == 0 {
 		t.Fatal("close pair produced no proximity event")
 	}
@@ -56,6 +65,8 @@ func TestDetectionMetricsExposed(t *testing.T) {
 		"seatwin_events_collision_update_seconds_count",
 		"seatwin_events_proximity_candidates_total",
 		"seatwin_events_collision_pairs_checked_total",
+		"seatwin_events_collision_pairs_deferred_total",
+		"seatwin_events_proximity_pairs_deferred_total 0\n",
 		"seatwin_events_proximity_evictions_total",
 		"seatwin_events_collision_tracked",
 	} {
@@ -79,6 +90,9 @@ func TestDetectionMetricsExposed(t *testing.T) {
 		}
 		if n, _ := d["updates"].(float64); n == 0 {
 			t.Fatalf("events_detection.%s reports zero updates: %v", fam, d)
+		}
+		if _, ok := d["pairs_deferred"].(float64); !ok {
+			t.Fatalf("events_detection.%s has no pairs_deferred: %v", fam, d)
 		}
 	}
 }

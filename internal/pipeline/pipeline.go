@@ -230,10 +230,11 @@ type Pipeline struct {
 	// assembler reassembles multi-fragment AIVDM input for IngestNMEA.
 	assembler *ais.Assembler
 
-	// Cross-cell deduplication of pairwise events: several collision
-	// actors can detect the same pair in the same pass. The seen-map is
-	// sharded by key hash so concurrent collision actors only contend
-	// when their pairs land in the same stripe.
+	// Cooldown of pairwise events across passes: the owner rule emits a
+	// collision pair from one cell per pass, but later passes (possibly
+	// owned by another cell) repeat it. The seen-map is sharded by key
+	// hash so concurrent collision actors only contend when their pairs
+	// land in the same stripe.
 	pairShards [pairShardCount]pairShard
 
 	// congestion is non-nil when Config.Ports was set.
@@ -267,6 +268,7 @@ type pairShard struct {
 type detectorMetrics struct {
 	updateLat  *metrics.ShardedLatencyRecorder
 	candidates *metrics.ShardedCounter
+	deferred   *metrics.ShardedCounter
 	checked    *metrics.ShardedCounter
 	evictions  *metrics.ShardedCounter
 	tracked    *metrics.ShardedCounter // gauge: Size() deltas, decremented on passivation
@@ -276,6 +278,7 @@ func newDetectorMetrics() detectorMetrics {
 	return detectorMetrics{
 		updateLat:  metrics.NewShardedLatencyRecorder(0, 1<<15),
 		candidates: metrics.NewShardedCounter(0),
+		deferred:   metrics.NewShardedCounter(0),
 		checked:    metrics.NewShardedCounter(0),
 		evictions:  metrics.NewShardedCounter(0),
 		tracked:    metrics.NewShardedCounter(0),
@@ -286,6 +289,7 @@ func newDetectorMetrics() detectorMetrics {
 type DetectionStats struct {
 	UpdateLatency metrics.Snapshot
 	Candidates    int64
+	Deferred      int64
 	Checked       int64
 	Evicted       int64
 	Tracked       int64
@@ -295,6 +299,7 @@ func (m *detectorMetrics) snapshot() DetectionStats {
 	return DetectionStats{
 		UpdateLatency: m.updateLat.Snapshot(),
 		Candidates:    m.candidates.Value(),
+		Deferred:      m.deferred.Value(),
 		Checked:       m.checked.Value(),
 		Evicted:       m.evictions.Value(),
 		Tracked:       m.tracked.Value(),
@@ -918,9 +923,11 @@ func (p *Pipeline) collisionActor(cell hexgrid.Cell) *actor.PID {
 
 func (p *Pipeline) collisionActorSlow(cell hexgrid.Cell) *actor.PID {
 	pid, _ := p.system.GetOrSpawn(collisionActorName(cell), actor.PropsFromProducer(func() actor.Actor {
+		d := events.NewGridDetector(p.cfg.Collision, 10*time.Minute)
+		d.SetCell(uint64(cell))
 		return &collisionActor{
 			p:          p,
-			detector:   events.NewGridDetector(p.cfg.Collision, 10*time.Minute),
+			detector:   d,
 			passivator: newPassivator(p.idleTimeout()),
 		}
 	}))
