@@ -123,7 +123,7 @@ func NewHub(opt Options) *Hub {
 		fanned:    metrics.NewShardedCounter(0),
 		dropped:   metrics.NewShardedCounter(0),
 		conflated: metrics.NewShardedCounter(0),
-		latency:   metrics.NewShardedLatencyRecorder(0, 1<<14),
+		latency:   metrics.NewShardedLatencyRecorder(0),
 	}
 }
 

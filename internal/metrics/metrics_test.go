@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,9 +141,24 @@ func BenchmarkMovingAverageAdd(b *testing.B) {
 }
 
 func BenchmarkLatencyObserve(b *testing.B) {
-	l := NewShardedLatencyRecorder(0, 1<<16)
+	l := NewShardedLatencyRecorder(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Observe(uint64(i), time.Microsecond)
+	}
+}
+
+// BenchmarkLatencySnapshot times one Snapshot of a full recorder: 1<<15
+// log-normal observations, the most any pipeline recorder used to keep.
+func BenchmarkLatencySnapshot(b *testing.B) {
+	l := NewShardedLatencyRecorder(0)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1<<15; i++ {
+		l.Observe(uint64(i), time.Duration(float64(200*time.Microsecond)*math.Exp(rng.NormFloat64())))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = l.Snapshot()
 	}
 }

@@ -2,8 +2,7 @@ package metrics
 
 import (
 	"math"
-	"sort"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -128,104 +127,146 @@ func (a *ShardedAccumulator) Drain() (count, sum int64) {
 	return count, sum
 }
 
-// latencyShard is one stripe of a ShardedLatencyRecorder: its own
-// mutex, ring of exact samples and running aggregates.
+// Latency histogram layout. Durations are bucketed log-linearly in
+// nanoseconds: values below latSub each get an exact bucket; above that,
+// every power of two [2^e, 2^(e+1)) splits into latSub equal sub-buckets
+// of width 2^(e-latSubBits), at most 1/latSub (6.25 %) of the bucket's
+// lower bound. Durations from 2^(latMaxExp+1) ns (about 9.8 hours) up
+// share one top bucket: 673 buckets, 5.5 KB per shard.
+const (
+	latSubBits = 4
+	latSub     = 1 << latSubBits
+	latMaxExp  = 44
+	latTop     = (latMaxExp - latSubBits + 2) * latSub // index of the shared top bucket
+	latBuckets = latTop + 1
+)
+
+// latBucket maps a duration to its bucket index; negative durations
+// count as zero.
+func latBucket(d time.Duration) int {
+	if d < latSub {
+		if d < 0 {
+			return 0
+		}
+		return int(d)
+	}
+	e := bits.Len64(uint64(d)) - 1
+	if e > latMaxExp {
+		return latTop
+	}
+	sub := int(uint64(d)>>(e-latSubBits)) & (latSub - 1)
+	return (e-latSubBits+1)*latSub + sub
+}
+
+// latUpper is the largest duration bucket i holds. The top bucket has
+// no finite bound; Snapshot clamps every quantile to the exact Max.
+func latUpper(i int) time.Duration {
+	if i < latSub {
+		return time.Duration(i)
+	}
+	if i == latTop {
+		return math.MaxInt64
+	}
+	e := i/latSub + latSubBits - 1
+	sub := i % latSub
+	return time.Duration(uint64(latSub+sub+1)<<(e-latSubBits)) - 1
+}
+
+// latencyShard is one stripe of a ShardedLatencyRecorder: exact sum and
+// max beside a log-linear bucket count. Its count is the bucket total.
 type latencyShard struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	cap     int
-	count   int64
-	sum     time.Duration
-	max     time.Duration
-	_       [32]byte
+	sum     atomic.Int64
+	max     atomic.Int64
+	_       [48]byte // keep sum/max off the neighbouring shard's buckets
+	buckets [latBuckets]atomic.Int64
+	_       [56]byte // round the shard up to whole cache lines
 }
 
-func (sh *latencyShard) observe(d time.Duration) {
-	sh.mu.Lock()
-	sh.count++
-	sh.sum += d
-	if d > sh.max {
-		sh.max = d
-	}
-	if len(sh.samples) < sh.cap {
-		sh.samples = append(sh.samples, d)
-	} else {
-		sh.samples[int(sh.count)%sh.cap] = d
-	}
-	sh.mu.Unlock()
-}
-
-// ShardedLatencyRecorder keeps exact samples up to a capacity, then
-// overwrites them ring-style so quantiles reflect recent behaviour.
-// Observations take only their shard's mutex, and Snapshot merges the
-// shards (concatenating the sample rings before computing quantiles).
+// ShardedLatencyRecorder summarises every duration it has observed
+// since construction in fixed memory: per shard, an exact sum and max
+// plus a log-linear histogram (see latBucket). Observe is lock-free
+// and allocation-free; Snapshot merges the shards on the stack and
+// reads the quantiles off the cumulative bucket counts, so its cost
+// does not grow with the number of observations.
 type ShardedLatencyRecorder struct {
 	shards []latencyShard
 	mask   uint64
 }
 
-// NewShardedLatencyRecorder stripes up to capacity exact samples over
-// the given number of shards (rounded up to a power of two; <=0 selects
-// the default; capacity <=0 selects 1<<16).
-func NewShardedLatencyRecorder(shards, capacity int) *ShardedLatencyRecorder {
+// NewShardedLatencyRecorder stripes the recorder over the given number
+// of shards (rounded up to a power of two; <=0 selects the default).
+func NewShardedLatencyRecorder(shards int) *ShardedLatencyRecorder {
 	if shards <= 0 {
 		shards = defaultShards
 	}
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
 	n := nextPow2(shards)
-	perShard := capacity / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	l := &ShardedLatencyRecorder{shards: make([]latencyShard, n), mask: uint64(n - 1)}
-	for i := range l.shards {
-		l.shards[i].cap = perShard
-	}
-	return l
+	return &ShardedLatencyRecorder{shards: make([]latencyShard, n), mask: uint64(n - 1)}
 }
 
-// Observe records one duration on the shard selected by hint.
+// Observe records one duration on the shard selected by hint. The
+// bucket is counted last, so a Snapshot that sees the observation also
+// sees its sum and max.
 func (l *ShardedLatencyRecorder) Observe(hint uint64, d time.Duration) {
-	l.shards[mix64(hint)&l.mask].observe(d)
+	sh := &l.shards[mix64(hint)&l.mask]
+	for cur := sh.max.Load(); int64(d) > cur; cur = sh.max.Load() {
+		if sh.max.CompareAndSwap(cur, int64(d)) {
+			break
+		}
+	}
+	sh.sum.Add(int64(d))
+	sh.buckets[latBucket(d)].Add(1)
 }
 
-// Snapshot merges every shard into one summary.
+// Snapshot merges every shard into one summary. Count, Mean and Max are
+// exact; each quantile is the nearest-rank sample's bucket upper bound
+// clamped to Max, so it is never below the exact quantile and at most
+// 1/16 above it (below the top bucket). Quantiles cover the recorder's
+// whole lifetime.
 func (l *ShardedLatencyRecorder) Snapshot() Snapshot {
 	var (
 		s      Snapshot
-		sum    time.Duration
-		merged []time.Duration
+		sum    int64
+		merged [latBuckets]int64
 	)
 	for i := range l.shards {
 		sh := &l.shards[i]
-		sh.mu.Lock()
-		s.Count += sh.count
-		sum += sh.sum
-		if sh.max > s.Max {
-			s.Max = sh.max
+		for b := range sh.buckets {
+			merged[b] += sh.buckets[b].Load()
 		}
-		merged = append(merged, sh.samples...)
-		sh.mu.Unlock()
+		sum += sh.sum.Load()
+		if m := time.Duration(sh.max.Load()); m > s.Max {
+			s.Max = m
+		}
 	}
-	if s.Count > 0 {
-		s.Mean = time.Duration(int64(sum) / s.Count)
+	for _, c := range merged {
+		s.Count += c
 	}
-	if len(merged) == 0 {
+	if s.Count == 0 {
 		return s
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	q := func(f float64) time.Duration {
-		idx := int(math.Ceil(f*float64(len(merged)))) - 1
-		if idx < 0 {
-			idx = 0
+	s.Mean = time.Duration(sum / s.Count)
+	// Nearest rank, as ceil(q·n)-1 over the sorted samples; the ranks
+	// are ascending, so one cumulative walk serves all three.
+	qs := [...]*time.Duration{&s.P50, &s.P95, &s.P99}
+	ranks := [...]int64{rank(0.50, s.Count), rank(0.95, s.Count), rank(0.99, s.Count)}
+	var cum int64
+	next := 0
+	for b, c := range merged {
+		cum += c
+		for next < len(ranks) && cum > ranks[next] {
+			*qs[next] = min(latUpper(b), s.Max)
+			next++
 		}
-		if idx >= len(merged) {
-			idx = len(merged) - 1
+		if next == len(ranks) {
+			break
 		}
-		return merged[idx]
 	}
-	s.P50, s.P95, s.P99 = q(0.50), q(0.95), q(0.99)
 	return s
+}
+
+// rank is the zero-based nearest-rank index of quantile q among n
+// samples.
+func rank(q float64, n int64) int64 {
+	r := int64(math.Ceil(q*float64(n))) - 1
+	return max(0, min(r, n-1))
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -485,7 +486,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("seatwin_checkpoint_restores_total", "vessel history windows rehydrated on spawn", float64(s.CheckpointRestores))
 	counter("seatwin_checkpoint_failures_total", "checkpoint saves or loads lost after retries", float64(s.CheckpointFailures))
 	gauge("seatwin_live_actors", "currently running actors", float64(s.LiveActors))
-	fmt.Fprintf(&b, "# HELP seatwin_processing_seconds vessel-actor message processing time\n")
+	fmt.Fprintf(&b, "# HELP seatwin_processing_seconds vessel-actor message processing time since process start\n")
 	fmt.Fprintf(&b, "# TYPE seatwin_processing_seconds summary\n")
 	for _, q := range []struct {
 		label string
@@ -494,7 +495,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "seatwin_processing_seconds{quantile=%q} %g\n", q.label, q.v.Seconds())
 	}
 	fmt.Fprintf(&b, "seatwin_processing_seconds_count %d\n", s.Latency.Count)
-	fmt.Fprintf(&b, "# HELP seatwin_svrf_infer_seconds model inference time within vessel-actor processing\n")
+	fmt.Fprintf(&b, "# HELP seatwin_svrf_infer_seconds model inference time within vessel-actor processing since process start\n")
 	fmt.Fprintf(&b, "# TYPE seatwin_svrf_infer_seconds summary\n")
 	for _, q := range []struct {
 		label string
@@ -512,7 +513,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		d    DetectionStats
 	}{{"proximity", s.ProximityDetection}, {"collision", s.CollisionDetection}} {
 		base := "seatwin_events_" + fam.name
-		fmt.Fprintf(&b, "# HELP %s_update_seconds %s detector update time per report\n", base, fam.name)
+		fmt.Fprintf(&b, "# HELP %s_update_seconds %s detector update time per report since process start\n", base, fam.name)
 		fmt.Fprintf(&b, "# TYPE %s_update_seconds summary\n", base)
 		for _, q := range []struct {
 			label string
@@ -536,7 +537,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("seatwin_feed_frames_dropped_total", "frames evicted by drop-oldest overflow", float64(fs.Dropped))
 		counter("seatwin_feed_frames_conflated_total", "frames conflated in place by key", float64(fs.Conflated))
 		counter("seatwin_feed_disconnects_total", "slow consumers force-disconnected", float64(fs.Disconnected))
-		gauge("seatwin_feed_fanout_p99_seconds", "p99 hub fan-out latency per publish", fs.FanoutP99.Seconds())
+		gauge("seatwin_feed_fanout_p99_seconds", "p99 hub fan-out latency per publish since process start", fs.FanoutP99.Seconds())
 		if rs := hub.RelayStats(); rs.Relays > 0 {
 			gauge("seatwin_feed_relays", "relay tiers attached to the hub", float64(rs.Relays))
 			gauge("seatwin_feed_relay_subscribers", "local subscribers behind relay tiers", float64(rs.Subscribers))
@@ -551,7 +552,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("seatwin_views_states_applied_total", "vessel state deltas staged into the views", float64(vs.StatesApplied))
 	counter("seatwin_views_events_applied_total", "events staged into the views", float64(vs.EventsApplied))
 	gauge("seatwin_views_refresh_mean_seconds", "mean snapshot rebuild latency", vs.RefreshMean.Seconds())
-	gauge("seatwin_views_refresh_p99_seconds", "p99 snapshot rebuild latency", vs.RefreshP99.Seconds())
+	gauge("seatwin_views_refresh_p99_seconds", "p99 snapshot rebuild latency since process start", vs.RefreshP99.Seconds())
 	gauge("seatwin_views_snapshot_bytes", "pre-encoded bytes across current snapshots", float64(vs.SnapshotBytes))
 	gauge("seatwin_views_vessels", "vessels in the current world-view snapshot", float64(vs.Vessels))
 	gauge("seatwin_views_cells", "hex cells in the current region snapshot", float64(vs.Cells))
@@ -629,7 +630,9 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if ob := a.p.cfg.OutputBroker; ob != nil && (a.p.cl == nil || ob != a.p.cl.cfg.Broker) {
 		lag(ob)
 	}
-	w.Write([]byte(b.String()))
+	if _, err := io.WriteString(w, b.String()); err != nil {
+		log.Printf("api: write metrics: %v", err)
+	}
 }
 
 func (a *API) handleSeries(w http.ResponseWriter, _ *http.Request) {

@@ -276,7 +276,7 @@ type detectorMetrics struct {
 
 func newDetectorMetrics() detectorMetrics {
 	return detectorMetrics{
-		updateLat:  metrics.NewShardedLatencyRecorder(0, 1<<15),
+		updateLat:  metrics.NewShardedLatencyRecorder(0),
 		candidates: metrics.NewShardedCounter(0),
 		deferred:   metrics.NewShardedCounter(0),
 		checked:    metrics.NewShardedCounter(0),
@@ -392,8 +392,8 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		store:       store,
 		views:       vw,
 		log:         events.NewLog(1 << 14),
-		latency:     metrics.NewShardedLatencyRecorder(0, 1<<15),
-		inferLat:    metrics.NewShardedLatencyRecorder(0, 1<<15),
+		latency:     metrics.NewShardedLatencyRecorder(0),
+		inferLat:    metrics.NewShardedLatencyRecorder(0),
 		procAcc:     metrics.NewShardedAccumulator(0),
 		movingAvg:   metrics.NewMovingAverage(cfg.MetricsWindow),
 		sampleGap:   500,

@@ -151,7 +151,7 @@ func New(cfg Config) *Views {
 		evRing:        make([][]byte, cfg.EventWindow),
 		statesApplied: metrics.NewShardedCounter(0),
 		eventsApplied: metrics.NewShardedCounter(0),
-		refreshLat:    metrics.NewShardedLatencyRecorder(0, 1<<12),
+		refreshLat:    metrics.NewShardedLatencyRecorder(0),
 		regionAgg:     make(map[hexgrid.Cell]*regionAggregate, 256),
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
