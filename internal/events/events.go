@@ -50,10 +50,12 @@ func (e Event) PairKey() string {
 }
 
 // Log is a bounded, concurrency-safe event log, the in-memory
-// counterpart of the event list the UI presents (Figure 4f).
+// counterpart of the event list the UI presents (Figure 4f). Once full
+// it is a ring: each Append overwrites the oldest event in place.
 type Log struct {
 	mu     sync.Mutex
-	events []Event
+	events []Event // grows to max, then wraps
+	head   int     // index of the oldest event once the ring is full
 	max    int
 	total  int64
 }
@@ -66,15 +68,20 @@ func NewLog(max int) *Log {
 	return &Log{max: max}
 }
 
-// Append adds an event.
+// Append adds an event, evicting the oldest when the log is full. It
+// is O(1) and allocation-free once the log has filled.
 func (l *Log) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++
-	l.events = append(l.events, e)
-	if len(l.events) > l.max {
-		drop := len(l.events) - l.max
-		l.events = append(l.events[:0:0], l.events[drop:]...)
+	if len(l.events) < l.max {
+		l.events = append(l.events, e)
+		return
+	}
+	l.events[l.head] = e
+	l.head++
+	if l.head == l.max {
+		l.head = 0
 	}
 }
 
@@ -85,26 +92,16 @@ func (l *Log) Total() int64 {
 	return l.total
 }
 
-// Recent returns up to n most recent events, newest last.
-func (l *Log) Recent(n int) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n > len(l.events) {
-		n = len(l.events)
-	}
-	out := make([]Event, n)
-	copy(out, l.events[len(l.events)-n:])
-	return out
-}
-
 // ByKind returns the retained events of one kind, oldest first.
 func (l *Log) ByKind(k Kind) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Event
-	for _, e := range l.events {
-		if e.Kind == k {
-			out = append(out, e)
+	for _, part := range [2][]Event{l.events[l.head:], l.events[:l.head]} {
+		for _, e := range part {
+			if e.Kind == k {
+				out = append(out, e)
+			}
 		}
 	}
 	return out

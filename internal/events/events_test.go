@@ -227,16 +227,35 @@ func TestEventLog(t *testing.T) {
 	if l.Total() != 10 {
 		t.Fatalf("total %d", l.Total())
 	}
-	recent := l.Recent(100)
-	if len(recent) != 4 {
-		t.Fatalf("retained %d", len(recent))
+	kept := l.ByKind(KindProximity)
+	if len(kept) != 4 {
+		t.Fatalf("retained %d", len(kept))
 	}
-	if recent[3].A != 10 || recent[0].A != 7 {
-		t.Fatalf("wrong retention window: %v..%v", recent[0].A, recent[3].A)
+	for i, e := range kept {
+		if e.A != ais.MMSI(7+i) {
+			t.Fatalf("retention window not oldest-first 7..10: %v", kept)
+		}
 	}
 	l.Append(Event{Kind: KindSwitchOff, A: 99})
 	if got := l.ByKind(KindSwitchOff); len(got) != 1 || got[0].A != 99 {
 		t.Fatalf("by kind: %v", got)
+	}
+	// The switch-off evicted the oldest proximity event.
+	if got := l.ByKind(KindProximity); len(got) != 3 || got[0].A != 8 || got[2].A != 10 {
+		t.Fatalf("after eviction: %v", got)
+	}
+}
+
+// TestEventLogAppendZeroAlloc pins the ring: appending into a full log
+// overwrites in place instead of copying the retained window.
+func TestEventLogAppendZeroAlloc(t *testing.T) {
+	l := NewLog(1 << 14)
+	e := Event{Kind: KindProximity, A: 1, B: 2, At: t0}
+	for i := 0; i < 1<<14; i++ {
+		l.Append(e)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { l.Append(e) }); allocs != 0 {
+		t.Fatalf("Append into a full log allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -56,24 +56,25 @@ func RunFigure6(fc events.TrackForecaster, vessels, messages int, ratePerSec flo
 	}, nil
 }
 
-// Format renders the Figure 6 series as rows (actor count, window-100
-// average processing time), with the summary the paper quotes.
+// Format renders the Figure 6 series as rows (actor count, mean
+// processing time of each block of at least 500 reports), with the
+// summary the paper quotes.
 func (r Figure6Result) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 6: processing time vs live actors (%d vessels, %d messages, wall %v)\n",
 		r.Vessels, r.Messages, r.Duration.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%12s %12s %22s\n", "vessels", "actors", "avg processing (w=100)")
+	fmt.Fprintf(&b, "%12s %12s %25s\n", "vessels", "actors", "mean per 500-report block")
 	step := len(r.Series) / 24
 	if step < 1 {
 		step = 1
 	}
 	for i := 0; i < len(r.Series); i += step {
 		s := r.Series[i]
-		fmt.Fprintf(&b, "%12d %12d %22s\n", s.Vessels, s.Actors, s.AvgProcess.Round(time.Microsecond))
+		fmt.Fprintf(&b, "%12d %12d %25s\n", s.Vessels, s.Actors, s.AvgProcess.Round(time.Microsecond))
 	}
 	if n := len(r.Series); n > 0 {
 		s := r.Series[n-1]
-		fmt.Fprintf(&b, "%12d %12d %22s  (final)\n", s.Vessels, s.Actors, s.AvgProcess.Round(time.Microsecond))
+		fmt.Fprintf(&b, "%12d %12d %25s  (final)\n", s.Vessels, s.Actors, s.AvgProcess.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "latency: mean %v p95 %v p99 %v max %v; forecasts %d; dead letters %d\n",
 		r.Stats.Latency.Mean.Round(time.Microsecond),

@@ -1,7 +1,7 @@
 // Package metrics provides the evaluation and observability primitives
 // the paper's experiments report: displacement errors (Table 1),
-// detection confusion matrices (Table 2), and the moving-window
-// processing-time series of the scalability experiment (Figure 6).
+// detection confusion matrices (Table 2), and the striped counters and
+// latency recorders of the live pipeline.
 package metrics
 
 import (
@@ -105,46 +105,11 @@ func (c Confusion) String() string {
 		c.TP, c.FP, c.FN, c.TN, c.Precision(), c.Recall(), c.F1())
 }
 
-// MovingAverage is the fixed-window mean used in Figure 6 (window of
-// 100 actors/messages). It is not safe for concurrent use.
-type MovingAverage struct {
-	window []float64
-	next   int
-	filled int
-	sum    float64
-}
-
-// NewMovingAverage creates a window of the given size.
-func NewMovingAverage(size int) *MovingAverage {
-	return &MovingAverage{window: make([]float64, size)}
-}
-
-// Add inserts a value and returns the current mean.
-func (m *MovingAverage) Add(v float64) float64 {
-	if m.filled == len(m.window) {
-		m.sum -= m.window[m.next]
-	} else {
-		m.filled++
-	}
-	m.window[m.next] = v
-	m.sum += v
-	m.next = (m.next + 1) % len(m.window)
-	return m.Mean()
-}
-
-// Mean returns the current window mean.
-func (m *MovingAverage) Mean() float64 {
-	if m.filled == 0 {
-		return 0
-	}
-	return m.sum / float64(m.filled)
-}
-
-// Filled reports how many samples the window currently holds.
-func (m *MovingAverage) Filled() int { return m.filled }
-
 // Snapshot summarises the latencies a ShardedLatencyRecorder recorded.
+// Sum is the exact total of every recorded duration, so the mean over
+// any span between two snapshots is ΔSum/ΔCount.
 type Snapshot struct {
 	Count                    int64
+	Sum                      time.Duration
 	Mean, P50, P95, P99, Max time.Duration
 }

@@ -81,65 +81,6 @@ func TestConfusionPropertyBounds(t *testing.T) {
 	}
 }
 
-func TestMovingAverageWindow(t *testing.T) {
-	m := NewMovingAverage(3)
-	if m.Add(3) != 3 {
-		t.Fatal("first mean")
-	}
-	if m.Add(6) != 4.5 {
-		t.Fatal("second mean")
-	}
-	if m.Add(9) != 6 {
-		t.Fatal("third mean")
-	}
-	// Window slides: (6+9+12)/3 = 9.
-	if got := m.Add(12); got != 9 {
-		t.Fatalf("slid mean = %f", got)
-	}
-	if m.Filled() != 3 {
-		t.Fatalf("filled = %d", m.Filled())
-	}
-}
-
-func TestMovingAverageMatchesNaive(t *testing.T) {
-	f := func(values []float64) bool {
-		for _, v := range values {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-				return true
-			}
-		}
-		const window = 5
-		m := NewMovingAverage(window)
-		for i, v := range values {
-			got := m.Add(v)
-			lo := i - window + 1
-			if lo < 0 {
-				lo = 0
-			}
-			want := 0.0
-			for _, x := range values[lo : i+1] {
-				want += x
-			}
-			want /= float64(i + 1 - lo)
-			scale := math.Max(1, math.Abs(want))
-			if math.Abs(got-want)/scale > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkMovingAverageAdd(b *testing.B) {
-	m := NewMovingAverage(100)
-	for i := 0; i < b.N; i++ {
-		m.Add(float64(i))
-	}
-}
-
 func BenchmarkLatencyObserve(b *testing.B) {
 	l := NewShardedLatencyRecorder(0)
 	b.ResetTimer()

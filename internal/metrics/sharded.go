@@ -79,54 +79,6 @@ func (c *ShardedCounter) Value() int64 {
 	return total
 }
 
-// accumShard is one padded (count, sum) pair.
-type accumShard struct {
-	count atomic.Int64
-	sum   atomic.Int64
-	_     [48]byte
-}
-
-// ShardedAccumulator accumulates integer observations on padded
-// per-shard (count, sum) slots and surrenders them wholesale on Drain.
-// It decouples high-frequency recording (one padded atomic add per
-// observation) from aggregation (a sampler draining at its own pace) —
-// the structure behind the Figure 6 moving-average series.
-type ShardedAccumulator struct {
-	shards []accumShard
-	mask   uint64
-}
-
-// NewShardedAccumulator creates an accumulator striped over the given
-// number of shards (rounded up to a power of two; <=0 selects the
-// default).
-func NewShardedAccumulator(shards int) *ShardedAccumulator {
-	if shards <= 0 {
-		shards = defaultShards
-	}
-	n := nextPow2(shards)
-	return &ShardedAccumulator{shards: make([]accumShard, n), mask: uint64(n - 1)}
-}
-
-// Add records one observation on the shard selected by hint.
-func (a *ShardedAccumulator) Add(hint uint64, v int64) {
-	sh := &a.shards[mix64(hint)&a.mask]
-	sh.count.Add(1)
-	sh.sum.Add(v)
-}
-
-// Drain atomically takes and zeroes every shard, returning the merged
-// (count, sum) since the previous drain. An Add racing the two swaps of
-// its shard can land its count in one drain and its sum in the next;
-// the skew is one observation per shard and washes out of any windowed
-// mean, which is the intended consumer.
-func (a *ShardedAccumulator) Drain() (count, sum int64) {
-	for i := range a.shards {
-		count += a.shards[i].count.Swap(0)
-		sum += a.shards[i].sum.Swap(0)
-	}
-	return count, sum
-}
-
 // Latency histogram layout. Durations are bucketed log-linearly in
 // nanoseconds: values below latSub each get an exact bucket; above that,
 // every power of two [2^e, 2^(e+1)) splits into latSub equal sub-buckets
@@ -217,8 +169,8 @@ func (l *ShardedLatencyRecorder) Observe(hint uint64, d time.Duration) {
 	sh.buckets[latBucket(d)].Add(1)
 }
 
-// Snapshot merges every shard into one summary. Count, Mean and Max are
-// exact; each quantile is the nearest-rank sample's bucket upper bound
+// Snapshot merges every shard into one summary. Count, Sum, Mean and
+// Max are exact; each quantile is the nearest-rank sample's bucket upper bound
 // clamped to Max, so it is never below the exact quantile and at most
 // 1/16 above it (below the top bucket). Quantiles cover the recorder's
 // whole lifetime.
@@ -244,6 +196,7 @@ func (l *ShardedLatencyRecorder) Snapshot() Snapshot {
 	if s.Count == 0 {
 		return s
 	}
+	s.Sum = time.Duration(sum)
 	s.Mean = time.Duration(sum / s.Count)
 	// Nearest rank, as ceil(q·n)-1 over the sorted samples; the ranks
 	// are ascending, so one cumulative walk serves all three.

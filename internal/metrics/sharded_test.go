@@ -38,71 +38,6 @@ func TestShardedCounterNegativeAndZeroShards(t *testing.T) {
 	}
 }
 
-func TestShardedAccumulatorDrain(t *testing.T) {
-	a := NewShardedAccumulator(4)
-	for i := 0; i < 100; i++ {
-		a.Add(uint64(i), int64(i))
-	}
-	count, sum := a.Drain()
-	if count != 100 || sum != 4950 {
-		t.Fatalf("Drain = (%d, %d), want (100, 4950)", count, sum)
-	}
-	// A drained accumulator is empty.
-	count, sum = a.Drain()
-	if count != 0 || sum != 0 {
-		t.Fatalf("second Drain = (%d, %d), want (0, 0)", count, sum)
-	}
-}
-
-func TestShardedAccumulatorConcurrent(t *testing.T) {
-	a := NewShardedAccumulator(8)
-	var wg sync.WaitGroup
-	const workers, per = 8, 5000
-	var drained struct {
-		sync.Mutex
-		count, sum int64
-	}
-	stop := make(chan struct{})
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
-	go func() {
-		defer drainWG.Done()
-		for {
-			c, s := a.Drain()
-			drained.Lock()
-			drained.count += c
-			drained.sum += s
-			drained.Unlock()
-			select {
-			case <-stop:
-				c, s := a.Drain()
-				drained.Lock()
-				drained.count += c
-				drained.sum += s
-				drained.Unlock()
-				return
-			default:
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				a.Add(uint64(w), 2)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	drainWG.Wait()
-	if drained.count != workers*per || drained.sum != int64(workers*per*2) {
-		t.Fatalf("drained (%d, %d), want (%d, %d)",
-			drained.count, drained.sum, workers*per, workers*per*2)
-	}
-}
-
 func TestShardedLatencyRecorderSnapshot(t *testing.T) {
 	l := NewShardedLatencyRecorder(4)
 	for i := 1; i <= 100; i++ {
@@ -114,6 +49,9 @@ func TestShardedLatencyRecorderSnapshot(t *testing.T) {
 	}
 	if s.Max != 100*time.Millisecond {
 		t.Fatalf("Max = %v, want 100ms", s.Max)
+	}
+	if s.Sum != 5050*time.Millisecond {
+		t.Fatalf("Sum = %v, want 5.05s", s.Sum)
 	}
 	wantMean := 50500 * time.Microsecond // mean of 1..100 ms
 	if s.Mean != wantMean {
@@ -250,6 +188,7 @@ func (l *exactLatencyRecorder) Snapshot() Snapshot {
 		merged = append(merged, sh.samples...)
 		sh.mu.Unlock()
 	}
+	s.Sum = sum
 	if s.Count > 0 {
 		s.Mean = time.Duration(int64(sum) / s.Count)
 	}
@@ -272,13 +211,13 @@ func (l *exactLatencyRecorder) Snapshot() Snapshot {
 }
 
 // checkAgainstOracle asserts the histogram's contract against the exact
-// recorder fed the same stream: Count, Mean and Max are identical, and
-// each quantile lies in [exact, min(exact+exact/16, Max)].
+// recorder fed the same stream: Count, Sum, Mean and Max are
+// identical, and each quantile lies in [exact, min(exact+exact/16, Max)].
 func checkAgainstOracle(t *testing.T, name string, got, want Snapshot) {
 	t.Helper()
-	if got.Count != want.Count || got.Mean != want.Mean || got.Max != want.Max {
-		t.Fatalf("%s: (Count, Mean, Max) = (%d, %d, %d), oracle (%d, %d, %d)",
-			name, got.Count, got.Mean, got.Max, want.Count, want.Mean, want.Max)
+	if got.Count != want.Count || got.Sum != want.Sum || got.Mean != want.Mean || got.Max != want.Max {
+		t.Fatalf("%s: (Count, Sum, Mean, Max) = (%d, %d, %d, %d), oracle (%d, %d, %d, %d)",
+			name, got.Count, got.Sum, got.Mean, got.Max, want.Count, want.Sum, want.Mean, want.Max)
 	}
 	for _, q := range []struct {
 		name       string

@@ -32,8 +32,7 @@ type (
 		forecast events.Forecast
 		at       time.Time
 	}
-	// eventMsg notifies writers (and affected vessel actors) of a
-	// detected or forecast event.
+	// eventMsg carries a detected or forecast event to a writer actor.
 	eventMsg struct {
 		event events.Event
 	}
@@ -59,8 +58,6 @@ type vesselActor struct {
 	history []ais.PositionReport
 	soff    *events.SwitchOffDetector
 	static  ais.StaticVoyage
-	// lastEvent mirrors the state the cell actors communicate back.
-	lastEvent events.Event
 	// sinceCkpt counts accepted reports since the last checkpoint was
 	// scheduled; dirty marks history not yet covered by one (so the
 	// Stopping snapshot is skipped when nothing changed).
@@ -109,12 +106,9 @@ func (v *vesselActor) Receive(c *actor.Context) {
 	case posMsg:
 		start := time.Now()
 		v.onPosition(c, m)
-		v.p.observeProcessing(uint64(v.mmsi), time.Since(start))
+		v.p.latency.Observe(uint64(v.mmsi), time.Since(start))
 	case ais.StaticVoyage:
 		v.static = m
-	case eventMsg:
-		// State communicated back from a cell or collision actor (§3).
-		v.lastEvent = m.event
 	}
 }
 
@@ -127,7 +121,7 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 	}
 	// Switch-off detection precedes the history append.
 	if e, fired := v.soff.Update(r.MMSI, geo.Point{Lat: r.Lat, Lon: r.Lon}, r.Timestamp); fired {
-		v.emitEvent(c, e, nil)
+		v.p.emit(c, e)
 	}
 	v.history = append(v.history, r)
 	if len(v.history) > v.p.cfg.HistoryLimit {
@@ -220,11 +214,12 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 	c.Send(v.p.writerFor(r.MMSI), msg)
 }
 
-// emitEvent logs the event, persists it and notifies the involved
-// vessel actors.
-func (v *vesselActor) emitEvent(c *actor.Context, e events.Event, _ any) {
-	v.p.log.Append(e)
-	c.Send(v.p.writerFor(e.A), eventMsg{event: e})
+// emit is how every actor publishes a detected or forecast event: it
+// is logged and sent to the writer of its first vessel, which persists
+// and publishes it.
+func (p *Pipeline) emit(c *actor.Context, e events.Event) {
+	p.log.Append(e)
+	c.Send(p.writerFor(e.A), eventMsg{event: e})
 }
 
 // cellActor detects live close proximity among the vessels reporting
@@ -266,13 +261,7 @@ func (a *cellActor) Receive(c *actor.Context) {
 	a.p.proxDet.updateLat.Observe(a.hint, time.Since(start))
 	a.pushDetectorStats()
 	for _, e := range evs {
-		a.p.log.Append(e)
-		var em any = eventMsg{event: e}
-		c.Send(a.p.writerFor(e.A), em)
-		// Communicate the state back to the affected vessel actors
-		// (forwarded when a vessel lives on another partition).
-		a.p.notifyVessel(c, e.A, em, e)
-		a.p.notifyVessel(c, e.B, em, e)
+		a.p.emit(c, e)
 	}
 }
 
@@ -327,11 +316,7 @@ func (a *collisionActor) Receive(c *actor.Context) {
 		if !a.p.shouldEmitPair("cx/"+e.PairKey(), m.at, 5*time.Minute) {
 			continue
 		}
-		a.p.log.Append(e)
-		var em any = eventMsg{event: e}
-		c.Send(a.p.writerFor(e.A), em)
-		a.p.notifyVessel(c, e.A, em, e)
-		a.p.notifyVessel(c, e.B, em, e)
+		a.p.emit(c, e)
 	}
 }
 

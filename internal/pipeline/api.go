@@ -41,7 +41,6 @@ func NewAPI(p *Pipeline) *API {
 	mux.HandleFunc("/api/vessels/", a.handleVessel)
 	mux.HandleFunc("/api/events", a.handleEvents)
 	mux.HandleFunc("/api/regions", a.handleRegions)
-	mux.HandleFunc("/api/series", a.handleSeries)
 	mux.HandleFunc("/api/congestion", a.handleCongestion)
 	mux.HandleFunc("/api/route", a.handleRoute)
 	mux.HandleFunc("/api/stream", a.handleStream)
@@ -633,17 +632,4 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		log.Printf("api: write metrics: %v", err)
 	}
-}
-
-func (a *API) handleSeries(w http.ResponseWriter, _ *http.Request) {
-	type sampleJSON struct {
-		Actors int64 `json:"actors"`
-		AvgUS  int64 `json:"avg_processing_us"`
-	}
-	series := a.p.Series()
-	out := make([]sampleJSON, 0, len(series))
-	for _, s := range series {
-		out = append(out, sampleJSON{Actors: s.Actors, AvgUS: s.AvgProcess.Microseconds()})
-	}
-	writeJSON(w, out)
 }

@@ -107,13 +107,6 @@ type (
 		Forecast events.Forecast
 		At       time.Time
 	}
-	// ForwardedEvent is a cell/collision actor's state-communication
-	// back to a vessel actor owned by another partition.
-	ForwardedEvent struct {
-		Epoch uint64
-		MMSI  ais.MMSI
-		Event events.Event
-	}
 )
 
 // RegisterClusterTypes registers the forwarded record types with the
@@ -124,7 +117,6 @@ func RegisterClusterTypes() {
 	broker.RegisterType(ForwardedStatic{})
 	broker.RegisterType(ForwardedCellPos{})
 	broker.RegisterType(ForwardedForecast{})
-	broker.RegisterType(ForwardedEvent{})
 }
 
 // forwardItem is one queued cross-partition record.
@@ -310,21 +302,6 @@ func (cl *clusterState) forwardCellPos(cell hexgrid.Cell, m cellPosMsg) {
 
 func (cl *clusterState) forwardForecast(cell hexgrid.Cell, f events.Forecast, at time.Time) {
 	cl.forward(uint64(cell), ForwardedForecast{Epoch: cl.table.Epoch(), Cell: cell, Forecast: f, At: at})
-}
-
-func (cl *clusterState) forwardEvent(mmsi ais.MMSI, e events.Event) {
-	cl.forward(uint64(mmsi), ForwardedEvent{Epoch: cl.table.Epoch(), MMSI: mmsi, Event: e})
-}
-
-// notifyVessel routes a cell/collision actor's state communication back
-// to the vessel actor, forwarding when the vessel is foreign. em is the
-// pre-boxed eventMsg shared across local sends.
-func (p *Pipeline) notifyVessel(c *actor.Context, mmsi ais.MMSI, em any, e events.Event) {
-	if cl := p.cl; cl != nil && !cl.owns(uint64(mmsi)) {
-		cl.forwardEvent(mmsi, e)
-		return
-	}
-	c.Send(p.vesselActor(mmsi), em)
 }
 
 // forwarder is the single producer goroutine draining the forward
@@ -552,9 +529,6 @@ func (cl *clusterState) deliver(r broker.Record) {
 	case ForwardedForecast:
 		cl.received.Inc(uint64(v.Cell), 1)
 		p.system.Send(p.collisionActor(v.Cell), forecastMsg{forecast: v.Forecast, at: v.At})
-	case ForwardedEvent:
-		cl.received.Inc(uint64(v.MMSI), 1)
-		p.system.Send(p.vesselActor(v.MMSI), eventMsg{event: v.Event})
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seatwin/internal/ais"
 	"seatwin/internal/broker"
 	"seatwin/internal/fleetsim"
 	"seatwin/internal/geo"
+	"seatwin/internal/metrics"
 )
 
 // ScalabilityConfig shapes the Figure 6 experiment: a growing global
@@ -44,6 +44,68 @@ func DefaultScalabilityConfig() ScalabilityConfig {
 	}
 }
 
+// Sample is one point of the Figure 6 series: the mean vessel-actor
+// processing time over one block of at least seriesBlock reports, at
+// the population reached when the block closed. Vessels counts the
+// distinct MMSIs seen (the paper's x-axis); Actors the total live
+// actors including cell, collision and writer actors; Reports the
+// pipeline's processed-report count at the block's end.
+type Sample struct {
+	Vessels    int64
+	Actors     int64
+	Reports    int64
+	AvgProcess time.Duration
+}
+
+// seriesBlock is the fewest processed reports one series point averages.
+const seriesBlock = 500
+
+// blockSeries turns successive snapshots of the pipeline's
+// processing-time recorder into the Figure 6 series: one point per
+// block of at least seriesBlock reports, holding that block's own mean
+// ΔSum/ΔCount.
+type blockSeries struct {
+	start  metrics.Snapshot // the recorder when the open block began
+	series []Sample
+}
+
+// add closes the open block when snap is at least seriesBlock reports
+// past its start; otherwise the block stays open.
+func (b *blockSeries) add(snap metrics.Snapshot, vessels, actors int64) {
+	n := snap.Count - b.start.Count
+	if n < seriesBlock {
+		return
+	}
+	b.series = append(b.series, Sample{
+		Vessels:    vessels,
+		Actors:     actors,
+		Reports:    snap.Count,
+		AvgProcess: (snap.Sum - b.start.Sum) / time.Duration(n),
+	})
+	b.start = snap
+}
+
+// sampleSeries reads the processing-time recorder every few
+// milliseconds until stop closes, then once more, and returns the
+// series those reads closed.
+func (p *Pipeline) sampleSeries(stop <-chan struct{}) []Sample {
+	b := blockSeries{start: p.latency.Snapshot()}
+	read := func() {
+		b.add(p.latency.Snapshot(), atomic.LoadInt64(&p.vessels), p.system.LiveActors())
+	}
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			read()
+		case <-stop:
+			read()
+			return b.series
+		}
+	}
+}
+
 // ScalabilityResult is the Figure 6 outcome.
 type ScalabilityResult struct {
 	Series   []Sample
@@ -54,77 +116,98 @@ type ScalabilityResult struct {
 
 // RunScalability streams cfg.Messages AIS reports from a simulated
 // global fleet through the pipeline via the embedded broker and
-// returns the processing-time-vs-actor-count series.
+// returns the processing-time-vs-actor-count series. Ingestion runs
+// through ConsumeLoop, the pipeline's batched production path.
 func RunScalability(p *Pipeline, cfg ScalabilityConfig) (ScalabilityResult, error) {
 	if cfg.Vessels <= 0 {
 		cfg = DefaultScalabilityConfig()
 	}
 	start := time.Now()
 	br := broker.New()
-	const topic = "ais-global"
+	const topic, group = "ais-global", "pipeline"
 	if err := br.CreateTopic(topic, cfg.Partitions); err != nil {
 		return ScalabilityResult{}, err
 	}
-
-	// Consumers drain the topic into the pipeline concurrently. They
-	// stop when production has finished AND the group lag is zero —
-	// a quiet poll alone is not an end-of-stream signal on a saturated
-	// machine.
-	var producingDone int32
-	done := make(chan int, cfg.Consumers)
-	consume := func(c *broker.Consumer) {
-		n := 0
-		for {
-			recs := c.Poll(512, 250*time.Millisecond)
-			for _, r := range recs {
-				if msg, ok := r.Value.(ais.Message); ok {
-					p.Ingest(msg, r.Timestamp)
-					n++
-				}
-			}
-			c.Commit()
-			if len(recs) == 0 && atomic.LoadInt32(&producingDone) == 1 {
-				lag, err := br.Lag(topic, "pipeline")
-				if err != nil {
-					break
-				}
-				total := int64(0)
-				for _, l := range lag {
-					total += l
-				}
-				if total == 0 {
-					break
-				}
-			}
-		}
-		done <- n
-		c.Close()
-	}
+	consumers := make([]*broker.Consumer, 0, cfg.Consumers)
 	for i := 0; i < cfg.Consumers; i++ {
-		c, err := br.Subscribe(topic, "pipeline")
+		c, err := br.Subscribe(topic, group)
 		if err != nil {
+			for _, c := range consumers {
+				c.Close()
+			}
 			return ScalabilityResult{}, err
 		}
-		go consume(c)
+		consumers = append(consumers, c)
 	}
 
-	// The producer side: the simulated world plays the role of the AIS
-	// receiver network, keyed by MMSI so per-vessel order is kept.
+	stopSampling := make(chan struct{})
+	sampled := make(chan []Sample, 1)
+	go func() { sampled <- p.sampleSeries(stopSampling) }()
+
+	// Consumers drain the topic into the pipeline concurrently. The poll
+	// wait is long because a quiet poll is no end-of-stream signal on a
+	// saturated machine; the loops end when their consumers close.
+	done := make(chan int, len(consumers))
+	for _, c := range consumers {
+		go func(c *broker.Consumer) { done <- p.ConsumeLoop(c, time.Hour) }(c)
+	}
+
+	err := produceFleet(br, topic, cfg)
+	// Once production has finished and the group lag is zero, every
+	// record has been handed to the pipeline.
+	for err == nil {
+		lag, lerr := br.Lag(topic, group)
+		if lerr != nil {
+			break
+		}
+		total := int64(0)
+		for _, l := range lag {
+			total += l
+		}
+		if total == 0 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, c := range consumers {
+		c.Close()
+	}
+	ingested := 0
+	for range consumers {
+		ingested += <-done
+	}
+	p.Drain(10 * time.Second)
+	close(stopSampling)
+	series := <-sampled
+	if err != nil {
+		return ScalabilityResult{}, err
+	}
+	return ScalabilityResult{
+		Series:   series,
+		Stats:    p.Stats(),
+		Duration: time.Since(start),
+		Ingested: ingested,
+	}, nil
+}
+
+// produceFleet plays the AIS receiver network: it produces cfg.Messages
+// reports of the simulated world onto topic, keyed by MMSI so
+// per-vessel order is kept, paced to cfg.RatePerSec when positive.
+func produceFleet(br *broker.Broker, topic string, cfg ScalabilityConfig) error {
 	world := fleetsim.NewWorld(fleetsim.Config{
 		Vessels:     cfg.Vessels,
 		Seed:        cfg.Seed,
 		Region:      geo.BBox{}, // global
 		KeepSailing: true,
 	})
-	produced := 0
 	paceStart := time.Now()
-	for produced < cfg.Messages {
+	for produced := 0; produced < cfg.Messages; {
 		r, ok := world.Next()
 		if !ok {
-			break
+			return nil
 		}
 		if _, _, err := br.Produce(topic, r.Pos.MMSI.String(), r.Pos); err != nil {
-			return ScalabilityResult{}, err
+			return err
 		}
 		produced++
 		if cfg.RatePerSec > 0 {
@@ -134,20 +217,5 @@ func RunScalability(p *Pipeline, cfg ScalabilityConfig) (ScalabilityResult, erro
 			}
 		}
 	}
-	atomic.StoreInt32(&producingDone, 1)
-
-	// Wait for the consumers to drain (they stop after pollWait of
-	// silence).
-	ingested := 0
-	for i := 0; i < cfg.Consumers; i++ {
-		ingested += <-done
-	}
-	p.Drain(10 * time.Second)
-
-	return ScalabilityResult{
-		Series:   p.Series(),
-		Stats:    p.Stats(),
-		Duration: time.Since(start),
-		Ingested: ingested,
-	}, nil
+	return nil
 }

@@ -56,9 +56,6 @@ type Config struct {
 	Writers int
 	// Store receives the persisted actor states; nil creates one.
 	Store *kvstore.Store
-	// MetricsWindow is the moving-average window of the scalability
-	// series (100 in Figure 6).
-	MetricsWindow int
 	// DisableEventFanout turns off proximity/collision sharing (used by
 	// ablation benches to isolate forecasting cost).
 	DisableEventFanout bool
@@ -131,18 +128,7 @@ func DefaultConfig(fc events.TrackForecaster) Config {
 		SwitchOff:           events.DefaultSwitchOffConfig(),
 		HistoryLimit:        48,
 		Writers:             1,
-		MetricsWindow:       100,
 	}
-}
-
-// Sample is one point of the Figure 6 series: the moving-window mean
-// processing time at a given population. Vessels counts the distinct
-// MMSIs seen (the paper's x-axis); Actors the total live actors
-// including cell, collision and writer actors.
-type Sample struct {
-	Vessels    int64
-	Actors     int64
-	AvgProcess time.Duration
 }
 
 // stateStore is the write surface the pipeline persists through. It is
@@ -191,19 +177,10 @@ type Pipeline struct {
 	writerMask uint64
 
 	// The per-message observability path is striped: vessel actors record
-	// into per-shard slots keyed by MMSI, and a background sampler drains
-	// the accumulator into the Figure 6 moving-average series — no global
-	// lock is taken while processing a message.
-	latency       *metrics.ShardedLatencyRecorder
-	inferLat      *metrics.ShardedLatencyRecorder // model-inference slice of processing
-	procAcc       *metrics.ShardedAccumulator
-	procMu        sync.Mutex // guards movingAvg + series (sampler vs readers)
-	movingAvg     *metrics.MovingAverage
-	series        []Sample
-	samplePending int64
-	sampleGap     int64
-	samplerStop   chan struct{}
-	samplerDone   chan struct{}
+	// into per-shard slots keyed by MMSI, so no global lock is taken while
+	// processing a message.
+	latency  *metrics.ShardedLatencyRecorder // vessel-actor processing time
+	inferLat *metrics.ShardedLatencyRecorder // model-inference slice of processing
 
 	messages     *metrics.ShardedCounter
 	forecasts    *metrics.ShardedCounter
@@ -365,9 +342,6 @@ func New(cfg Config) (_ *Pipeline, err error) {
 			break
 		}
 	}
-	if cfg.MetricsWindow <= 0 {
-		cfg.MetricsWindow = 100
-	}
 	if cfg.Chaos != nil {
 		// The shared forecaster is wrapped here so vessel actors exercise
 		// refused forecasts and supervision restarts under chaos.
@@ -387,22 +361,17 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		}()
 	}
 	p := &Pipeline{
-		cfg:         cfg,
-		system:      actor.NewSystem("seatwin"),
-		store:       store,
-		views:       vw,
-		log:         events.NewLog(1 << 14),
-		latency:     metrics.NewShardedLatencyRecorder(0),
-		inferLat:    metrics.NewShardedLatencyRecorder(0),
-		procAcc:     metrics.NewShardedAccumulator(0),
-		movingAvg:   metrics.NewMovingAverage(cfg.MetricsWindow),
-		sampleGap:   500,
-		messages:    metrics.NewShardedCounter(0),
-		forecasts:   metrics.NewShardedCounter(0),
-		writerMask:  uint64(cfg.Writers - 1),
-		samplerStop: make(chan struct{}),
-		samplerDone: make(chan struct{}),
-		assembler:   ais.NewAssembler(),
+		cfg:        cfg,
+		system:     actor.NewSystem("seatwin"),
+		store:      store,
+		views:      vw,
+		log:        events.NewLog(1 << 14),
+		latency:    metrics.NewShardedLatencyRecorder(0),
+		inferLat:   metrics.NewShardedLatencyRecorder(0),
+		messages:   metrics.NewShardedCounter(0),
+		forecasts:  metrics.NewShardedCounter(0),
+		writerMask: uint64(cfg.Writers - 1),
+		assembler:  ais.NewAssembler(),
 
 		vesselRoutes:    newRouteCache(),
 		proximityRoutes: newRouteCache(),
@@ -480,49 +449,7 @@ func New(cfg Config) (_ *Pipeline, err error) {
 			return nil, err
 		}
 	}
-	go p.sampler()
 	return p, nil
-}
-
-// sampler periodically drains the per-shard processing-time
-// accumulators into the Figure 6 moving-average series. It is the only
-// writer of movingAvg/series, so message processing never touches the
-// series lock.
-func (p *Pipeline) sampler() {
-	defer close(p.samplerDone)
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.samplerStop:
-			p.drainSample()
-			return
-		case <-ticker.C:
-			p.drainSample()
-		}
-	}
-}
-
-// drainSample folds the accumulated processing times into the moving
-// average and appends one series point per sampleGap observations.
-func (p *Pipeline) drainSample() {
-	count, sum := p.procAcc.Drain()
-	if count == 0 {
-		return
-	}
-	mean := float64(sum) / float64(count)
-	p.procMu.Lock()
-	avg := p.movingAvg.Add(mean)
-	p.samplePending += count
-	for p.samplePending >= p.sampleGap {
-		p.samplePending -= p.sampleGap
-		p.series = append(p.series, Sample{
-			Vessels:    atomic.LoadInt64(&p.vessels),
-			Actors:     p.system.LiveActors(),
-			AvgProcess: time.Duration(avg),
-		})
-	}
-	p.procMu.Unlock()
 }
 
 // System exposes the actor system (introspection and tests).
@@ -944,18 +871,6 @@ func (p *Pipeline) Static(mmsi ais.MMSI) (ais.StaticVoyage, bool) {
 	return v.(ais.StaticVoyage), true
 }
 
-// observeProcessing records one vessel-actor processing duration on the
-// shard selected by hint (the MMSI). The observation is two padded
-// atomic adds plus one striped-mutex quantile insert; the Figure 6
-// series itself is extended by the background sampler, so the hot path
-// holds no shared lock. The moving average consequently windows over
-// sampler drains rather than single messages — the same recent-history
-// mean at a coarser granularity.
-func (p *Pipeline) observeProcessing(hint uint64, d time.Duration) {
-	p.latency.Observe(hint, d)
-	p.procAcc.Add(hint, int64(d))
-}
-
 // Stats summarises a running pipeline.
 type Stats struct {
 	Messages   int64
@@ -1027,18 +942,6 @@ func (p *Pipeline) RouteModel() *lvrf.Model { return p.routeModel.Load() }
 // model they already loaded.
 func (p *Pipeline) SetRouteModel(m *lvrf.Model) { p.routeModel.Store(m) }
 
-// Series returns the Figure 6 samples gathered so far. Pending
-// observations are folded in first so a caller right after Drain sees
-// the complete series.
-func (p *Pipeline) Series() []Sample {
-	p.drainSample()
-	p.procMu.Lock()
-	defer p.procMu.Unlock()
-	out := make([]Sample, len(p.series))
-	copy(out, p.series)
-	return out
-}
-
 // RecordConsumer is the consumer surface ConsumeLoop drains: both
 // *broker.Consumer and the chaos fault-injection wrapper satisfy it.
 type RecordConsumer interface {
@@ -1046,9 +949,13 @@ type RecordConsumer interface {
 	Commit()
 }
 
-// ConsumeLoop drains a broker consumer into the pipeline until the
-// consumer closes (nil poll) or the pipeline shuts down. Records must
-// carry ais.Message values. A panic out of the consume round (an
+// ConsumeLoop drains a broker consumer into the pipeline until a poll
+// returns nil or the pipeline shuts down. A broker consumer's Poll
+// returns nil in two cases: the consumer was closed, or pollWait passed
+// with no record arriving. A short pollWait therefore also ends the
+// loop once the topic goes quiet; a caller that must outlast idle gaps
+// passes a long one and closes the consumer to stop the loop. Records
+// must carry ais.Message values. A panic out of the consume round (an
 // injected chaos fault, or a genuinely broken consumer) is recovered
 // and retried with the pipeline's backoff policy, and empty batches
 // back off the same way, so a faulting broker degrades ingest instead
@@ -1165,8 +1072,6 @@ func (p *Pipeline) Shutdown(timeout time.Duration) {
 	if p.cl != nil {
 		p.cl.closeConsumers()
 	}
-	close(p.samplerStop)
-	<-p.samplerDone
 	p.system.Shutdown(timeout)
 	if p.cl != nil {
 		p.cl.shutdown()
