@@ -1,8 +1,9 @@
-// Operations: the extensions of the paper's future-work section (§7)
-// working together on one scenario — a forecast collision triggers an
-// automated rerouting suggestion, port congestion is monitored and
-// predicted from the same route forecasts, and the weather layer
-// annotates every decision point.
+// Operations: one scenario served by a single pipeline — a head-on
+// pair south of Piraeus and a stream of arrivals into the port. The
+// collision actors forecast the encounters, and the port-congestion
+// monitor (the §7 extension that `seatwin -monitor-ports` runs in
+// production) counts and predicts arrivals from the same route
+// forecasts.
 package main
 
 import (
@@ -11,12 +12,10 @@ import (
 	"time"
 
 	"seatwin/internal/ais"
-	"seatwin/internal/avoid"
 	"seatwin/internal/congestion"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
 	"seatwin/internal/pipeline"
-	"seatwin/internal/weather"
 )
 
 func main() {
@@ -37,12 +36,6 @@ func main() {
 	// Two vessels on a head-on collision course south of the port, plus
 	// a stream of arrivals into Piraeus.
 	meet := geo.Point{Lat: 37.70, Lon: 23.55}
-	own := struct {
-		mmsi ais.MMSI
-		pos  geo.Point
-		cog  float64
-	}{237000100, geo.DeadReckon(meet, 12, 270, 900), 90}
-	other := geo.DeadReckon(meet, 12, 90, 900)
 	feed := func(mmsi ais.MMSI, from geo.Point, cog, sog float64) {
 		for i := 0; i < 4; i++ {
 			at := start.Add(time.Duration(i) * 30 * time.Second)
@@ -53,8 +46,8 @@ func main() {
 			}, at)
 		}
 	}
-	feed(own.mmsi, own.pos, own.cog, 12)
-	feed(237000200, other, 270, 12)
+	feed(237000100, geo.DeadReckon(meet, 12, 270, 900), 90, 12)
+	feed(237000200, geo.DeadReckon(meet, 12, 90, 900), 270, 12)
 	// Inbound traffic for the congestion monitor.
 	for i := 0; i < 5; i++ {
 		bearing := 120.0 + float64(i)*25
@@ -73,30 +66,7 @@ func main() {
 	fmt.Printf("forecast collision: %s x %s at %s (separation %.0f m)\n",
 		e.A, e.B, e.At.Format("15:04:05"), e.Meters)
 
-	// 2. Automated rerouting: rebuild both forecasts and ask for the
-	// minimal clearing manoeuvre for own ship.
-	kin := events.NewKinematicForecaster()
-	last := start.Add(90 * time.Second)
-	ownPos := geo.DeadReckon(own.pos, 12, own.cog, last.Sub(start).Seconds())
-	otherFc, _ := kin.ForecastTrack([]ais.PositionReport{{
-		MMSI: 237000200, Lat: geo.DeadReckon(other, 12, 270, 90).Lat,
-		Lon: geo.DeadReckon(other, 12, 270, 90).Lon,
-		SOG: 12, COG: 270, Timestamp: last,
-	}})
-	m, needed, found := avoid.Suggest(avoid.OwnShip{
-		MMSI: own.mmsi, Pos: ownPos, SOG: 12, COG: own.cog, At: last,
-	}, []events.Forecast{otherFc}, avoid.DefaultConfig())
-	switch {
-	case !needed:
-		fmt.Println("rerouting: current course already safe")
-	case found:
-		fmt.Printf("rerouting: alter course %+.0f° to %03.0f° (predicted CPA %.0f m)\n",
-			m.AlterationDeg, m.NewCOG, m.PredictedCPAMeters)
-	default:
-		fmt.Println("rerouting: no course-only solution; reduce speed")
-	}
-
-	// 3. Port congestion from the same forecasts.
+	// 2. Port congestion from the same forecasts.
 	for _, st := range p.Congestion().Snapshot(time.Time{}) {
 		flag := ""
 		if st.Congested() {
@@ -104,21 +74,5 @@ func main() {
 		}
 		fmt.Printf("port %s: %d berthed/anchored, %d arriving within 30 min (capacity %d)%s\n",
 			st.Port.Name, st.Present, st.Arriving, st.Port.Capacity, flag)
-	}
-
-	// 4. Weather at the decision points.
-	field := weather.NewField(2026)
-	for _, spot := range []struct {
-		name string
-		pos  geo.Point
-	}{{"collision point", e.Pos}, {"Piraeus approach", piraeus.Pos}} {
-		c := field.At(spot.pos, last)
-		severity := "workable"
-		if c.Severe() {
-			severity = "SEVERE"
-		}
-		fmt.Printf("weather at %s: wind %.0f kn from %03.0f°, waves %.1f m (%s, speed factor %.2f)\n",
-			spot.name, c.WindKnots, c.WindDirDeg, c.WaveHeightM, severity,
-			weather.SpeedFactor(c, own.cog))
 	}
 }

@@ -37,13 +37,13 @@ func TestParseSpecOffAndEmpty(t *testing.T) {
 
 func TestParseSpecRejectsBadInput(t *testing.T) {
 	for _, spec := range []string{
-		"error=1.5",        // rate outside [0,1]
-		"error=-0.1",       // negative rate
-		"latency=-5ms",     // negative latency
-		"latency=nope",     // unparseable duration
-		"bogus=1",          // unknown key
-		"error",            // not key=value
-		"error=0.1,,",      // empty entry
+		"error=1.5",    // rate outside [0,1]
+		"error=-0.1",   // negative rate
+		"latency=-5ms", // negative latency
+		"latency=nope", // unparseable duration
+		"bogus=1",      // unknown key
+		"error",        // not key=value
+		"error=0.1,,",  // empty entry
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q must be rejected", spec)

@@ -77,12 +77,16 @@ func TestDecodeRefusesUnknownVersion(t *testing.T) {
 
 func TestDecodeRefusesCorruptFields(t *testing.T) {
 	for name, mutate := range map[string]func(map[string]string){
-		"bad version":     func(f map[string]string) { f["v"] = "x" },
-		"bad count":       func(f map[string]string) { f["n"] = "-1" },
-		"count mismatch":  func(f map[string]string) { f["n"] = "7" },
-		"truncated hist":  func(f map[string]string) { f["hist"] = f["hist"][:len(f["hist"])/2] },
-		"bad float":       func(f map[string]string) { f["hist"] = strings.Replace(f["hist"], "37.5", "noap", 1) },
-		"unordered":       func(f map[string]string) { parts := strings.Split(f["hist"], ";"); parts[1] = parts[0]; f["hist"] = strings.Join(parts, ";") },
+		"bad version":    func(f map[string]string) { f["v"] = "x" },
+		"bad count":      func(f map[string]string) { f["n"] = "-1" },
+		"count mismatch": func(f map[string]string) { f["n"] = "7" },
+		"truncated hist": func(f map[string]string) { f["hist"] = f["hist"][:len(f["hist"])/2] },
+		"bad float":      func(f map[string]string) { f["hist"] = strings.Replace(f["hist"], "37.5", "noap", 1) },
+		"unordered": func(f map[string]string) {
+			parts := strings.Split(f["hist"], ";")
+			parts[1] = parts[0]
+			f["hist"] = strings.Join(parts, ";")
+		},
 		"missing version": func(f map[string]string) { delete(f, "v") },
 	} {
 		fields := Encode(window(1, 3))

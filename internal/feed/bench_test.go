@@ -14,7 +14,7 @@ import (
 )
 
 // BenchmarkFeedFanout5k drives ≥5,000 concurrent subscribers — a mix
-// of per-vessel, region and event-class topics — through Hub.Publish.
+// of per-vessel, region and event-class topics — through the hub.
 // Every subscriber runs a live consuming goroutine; the publisher must
 // never block on any of them (rings absorb overload per policy). The
 // reported metrics are the hub's own instrumentation: deliveries per

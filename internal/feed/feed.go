@@ -13,11 +13,8 @@
 // or disconnect), so one slow client can never stall the publisher: the
 // fan-out path is a constant-time, lock-bounded push per subscriber.
 //
-// The hub is fed two ways, so it works both embedded in the pipeline
-// process and against a durable broker: AttachStream subscribes it to
-// the actor system's EventStream (the writer actors publish every state
-// and event there), and ConsumeLoop drains a broker consumer on the
-// seatwin-states / seatwin-events output topics.
+// AttachStream feeds the hub from the actor system's EventStream: the
+// writer actors publish every state and event there.
 package feed
 
 import (
@@ -28,7 +25,6 @@ import (
 
 	"seatwin/internal/actor"
 	"seatwin/internal/ais"
-	"seatwin/internal/broker"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
 	"seatwin/internal/hexgrid"
@@ -80,7 +76,7 @@ type Stats struct {
 }
 
 // Hub is the central fan-out switch. All methods are safe for
-// concurrent use; Publish never blocks on subscriber consumption.
+// concurrent use; publishing never blocks on subscriber consumption.
 type Hub struct {
 	regionRes int
 	defBuffer int
@@ -88,11 +84,6 @@ type Hub struct {
 	mu     sync.RWMutex
 	topics map[string]map[*Subscription]struct{}
 	closed bool
-
-	// relayMu guards the registry of live relay tiers (see relay.go);
-	// relays deregister themselves when their pump exits.
-	relayMu sync.Mutex
-	relays  map[*Relay]struct{}
 
 	seq      atomic.Uint64 // frame sequence, dedups multi-topic delivery
 	subSeq   atomic.Uint64 // subscriber ids (metrics routing hints)
@@ -147,17 +138,17 @@ type frame struct {
 // stateJSON is the wire document of a state frame. The type tag makes
 // the payload self-describing on both transports.
 type stateJSON struct {
-	Type     string         `json:"type"`
-	MMSI     string         `json:"mmsi"`
-	Name     string         `json:"name,omitempty"`
-	Lat      float64        `json:"lat"`
-	Lon      float64        `json:"lon"`
-	SOG      float64        `json:"sog"`
-	COG      float64        `json:"cog"`
-	Status   string         `json:"status,omitempty"`
-	Cell     string         `json:"cell"`
-	At       string         `json:"ts"`
-	Forecast []fcPointJSON  `json:"forecast,omitempty"`
+	Type     string        `json:"type"`
+	MMSI     string        `json:"mmsi"`
+	Name     string        `json:"name,omitempty"`
+	Lat      float64       `json:"lat"`
+	Lon      float64       `json:"lon"`
+	SOG      float64       `json:"sog"`
+	COG      float64       `json:"cog"`
+	Status   string        `json:"status,omitempty"`
+	Cell     string        `json:"cell"`
+	At       string        `json:"ts"`
+	Forecast []fcPointJSON `json:"forecast,omitempty"`
 }
 
 type fcPointJSON struct {
@@ -243,22 +234,6 @@ func (h *Hub) PublishEvent(e events.Event) {
 		topics = append(topics, TopicVesselPrefix+doc.B)
 	}
 	h.publish(frame{seq: h.seq.Add(1), typ: "event", data: data}, topics...)
-}
-
-// Publish dispatches a value of either hub input type (State or
-// events.Event), reporting whether the value was one; other values are
-// ignored. It is the generic entry the EventStream attachment and
-// broker consume loop share.
-func (h *Hub) Publish(v any) bool {
-	switch m := v.(type) {
-	case State:
-		h.PublishState(m)
-	case events.Event:
-		h.PublishEvent(m)
-	default:
-		return false
-	}
-	return true
 }
 
 // publish fans an encoded frame out to every subscriber of the given
@@ -410,37 +385,5 @@ func (h *Hub) AttachStream(es *actor.EventStream) (detach func()) {
 	return func() {
 		unsubState()
 		unsubEvent()
-	}
-}
-
-// ConsumeLoop drains a broker consumer into the hub until the consumer
-// closes or the hub shuts down — the durable wiring against the
-// seatwin-states / seatwin-events output topics. decode converts one
-// record into a hub input (State or events.Event); nil uses the record
-// value as-is. Returns the number of frames published.
-func (h *Hub) ConsumeLoop(c *broker.Consumer, decode func(broker.Record) (any, bool), pollWait time.Duration) int {
-	n := 0
-	for {
-		h.mu.RLock()
-		closed := h.closed
-		h.mu.RUnlock()
-		if closed {
-			return n
-		}
-		recs := c.Poll(512, pollWait)
-		if recs == nil {
-			return n
-		}
-		for _, r := range recs {
-			v := any(r.Value)
-			ok := true
-			if decode != nil {
-				v, ok = decode(r)
-			}
-			if ok && h.Publish(v) {
-				n++
-			}
-		}
-		c.Commit()
 	}
 }

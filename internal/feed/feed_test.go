@@ -10,7 +10,6 @@ import (
 
 	"seatwin/internal/actor"
 	"seatwin/internal/ais"
-	"seatwin/internal/broker"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
 	"seatwin/internal/hexgrid"
@@ -98,9 +97,9 @@ func TestRegionAndEventRouting(t *testing.T) {
 	}
 	defer evSub.Close()
 
-	h.PublishState(testState(111000001, far)) // outside the region
-	h.PublishState(testState(111000002, pos)) // inside
-	h.PublishEvent(testEvent(events.KindProximity, 1, 2, pos))        // class not subscribed
+	h.PublishState(testState(111000001, far))                          // outside the region
+	h.PublishState(testState(111000002, pos))                          // inside
+	h.PublishEvent(testEvent(events.KindProximity, 1, 2, pos))         // class not subscribed
 	h.PublishEvent(testEvent(events.KindCollisionForecast, 3, 4, pos)) // subscribed
 
 	d := recvOne(t, regionSub)
@@ -321,14 +320,14 @@ func TestSlowConsumerNeverBlocksPublish(t *testing.T) {
 func TestResolveValidation(t *testing.T) {
 	h := NewHub(Options{})
 	cases := []Request{
-		{},                                    // no topics
-		{Vessels: []string{"not-a-number"}},   // bad MMSI
-		{Vessels: []string{"0"}},              // invalid MMSI
-		{Regions: []string{"hex:99:0:0"}},     // bad resolution
-		{Regions: []string{"somewhere"}},      // neither cell nor lat,lon
-		{Events: []string{"tsunami"}},         // unknown class
+		{},                                     // no topics
+		{Vessels: []string{"not-a-number"}},    // bad MMSI
+		{Vessels: []string{"0"}},               // invalid MMSI
+		{Regions: []string{"hex:99:0:0"}},      // bad resolution
+		{Regions: []string{"somewhere"}},       // neither cell nor lat,lon
+		{Events: []string{"tsunami"}},          // unknown class
 		{Events: []string{"gap"}, Policy: "x"}, // unknown policy
-		{Events: []string{"gap"}, Buffer: -1}, // bad buffer
+		{Events: []string{"gap"}, Buffer: -1},  // bad buffer
 	}
 	for i, req := range cases {
 		if _, _, err := h.Resolve(req); err == nil {
@@ -387,41 +386,6 @@ func TestAttachStream(t *testing.T) {
 	es.Publish(testState(237000001, geo.Point{Lat: 37.5, Lon: 24.5}))
 	if got := h.Snapshot().Published; got != 2 {
 		t.Fatalf("published %d frames, want 2 (post-detach publish leaked)", got)
-	}
-}
-
-// TestConsumeLoop drains hub inputs from a broker topic — the durable
-// wiring against seatwin-states/seatwin-events.
-func TestConsumeLoop(t *testing.T) {
-	b := broker.New()
-	if err := b.CreateTopic("seatwin-states", 2); err != nil {
-		t.Fatal(err)
-	}
-	c, err := b.Subscribe("seatwin-states", "feed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NewHub(Options{})
-	sub, err := h.SubscribeRequest(Request{Vessels: []string{"237000001"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	go func() {
-		b.Produce("seatwin-states", "237000001", testState(237000001, geo.Point{Lat: 37.5, Lon: 24.5}))
-		b.Produce("seatwin-states", "x", "not a frame") // skipped
-	}()
-	done := make(chan int, 1)
-	go func() { done <- h.ConsumeLoop(c, nil, 200*time.Millisecond) }()
-
-	d := recvOne(t, sub)
-	if d.Type != "state" {
-		t.Fatalf("frame %q", d.Type)
-	}
-	n := <-done
-	if n != 1 {
-		t.Fatalf("consume loop published %d frames, want 1", n)
 	}
 }
 

@@ -61,12 +61,6 @@ type ring struct {
 	policy Policy
 	closed bool
 	err    error
-
-	// Cumulative overflow accounting (under mu). The hub tracks these
-	// globally through push's return values; the relay tier reads them
-	// per ring to report how many upstream frames its pump never saw.
-	nConflated int64
-	nDropped   int64
 }
 
 func newRing(capacity int, policy Policy) *ring {
@@ -91,7 +85,6 @@ func (r *ring) push(f frame) (pushed, conflated, droppedOld bool) {
 	if r.policy == PolicyConflate && f.key != "" {
 		if idx, ok := r.byKey[f.key]; ok && idx >= r.start {
 			r.items[idx%len(r.items)] = f
-			r.nConflated++
 			return true, true, false
 		}
 	}
@@ -105,7 +98,6 @@ func (r *ring) push(f frame) (pushed, conflated, droppedOld bool) {
 		}
 		r.start++
 		r.count--
-		r.nDropped++
 		droppedOld = true
 	}
 	abs := r.start + r.count
@@ -155,13 +147,6 @@ func (r *ring) closeNow(err error) {
 	}
 	r.mu.Unlock()
 	r.cond.Broadcast()
-}
-
-// overflowStats returns the cumulative conflate/evict counts.
-func (r *ring) overflowStats() (conflated, dropped int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nConflated, r.nDropped
 }
 
 // closeErr returns the closure reason, nil while open.

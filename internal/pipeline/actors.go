@@ -391,18 +391,8 @@ func (w *writerActor) Receive(c *actor.Context) {
 	}
 }
 
-// StateOutput is the document produced onto the states output topic.
-type StateOutput struct {
-	Report   ais.PositionReport
-	Forecast []events.ForecastPoint
-}
-
 func (w *writerActor) writeState(m stateMsg) {
 	ks := w.keysFor(m.report.MMSI)
-	if ob := w.p.cfg.OutputBroker; ob != nil {
-		ob.Produce(w.p.cfg.OutputStatesTopic, ks.mmsi,
-			StateOutput{Report: m.report, Forecast: m.forecast})
-	}
 	st := w.p.kv
 	static, haveStatic := w.p.Static(m.report.MMSI)
 	if w.p.cfg.Feed != nil {
@@ -474,9 +464,6 @@ func (w *writerActor) writeState(m stateMsg) {
 }
 
 func (w *writerActor) writeEvent(e events.Event) {
-	if ob := w.p.cfg.OutputBroker; ob != nil {
-		ob.Produce(w.p.cfg.OutputEventsTopic, e.PairKey(), e)
-	}
 	if w.p.cfg.Feed != nil {
 		w.p.system.Events().Publish(e)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -13,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"seatwin/internal/broker"
 	"seatwin/internal/geo"
 	"seatwin/internal/lvrf"
 )
@@ -184,20 +184,6 @@ func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"vessels":        vs.Vessels,
 		"cells":          vs.Cells,
 		"events_window":  vs.EventsWindow,
-	}
-	if hub := a.p.cfg.Feed; hub != nil {
-		if rs := hub.RelayStats(); rs.Relays > 0 {
-			doc["feed_relays"] = map[string]any{
-				"relays":           rs.Relays,
-				"subscribers":      rs.Subscribers,
-				"relayed":          rs.Relayed,
-				"fanned":           rs.Fanned,
-				"conflation_drops": rs.ConflationDrops,
-				"local_dropped":    rs.LocalDropped,
-				"local_conflated":  rs.LocalConflated,
-				"disconnected":     rs.Disconnected,
-			}
-		}
 	}
 	if cs := s.Cluster; cs != nil {
 		doc["cluster"] = map[string]any{
@@ -388,30 +374,37 @@ func (a *API) handleRoute(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "from and to are required", http.StatusBadRequest)
 		return
 	}
-	// Absent parameters take defaults; malformed ones are a client
-	// error, not a silent fallback.
+	// Absent parameters take defaults; malformed or out-of-range ones
+	// are a client error, not a silent fallback.
+	shipType := uint64(70)
+	if s := q.Get("type"); s != "" {
+		v, err := strconv.ParseUint(s, 10, 8)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("type must be an integer in [0, 255], got %q", s), http.StatusBadRequest)
+			return
+		}
+		shipType = v
+	}
 	parse := func(key string, def float64) (float64, error) {
 		s := q.Get(key)
 		if s == "" {
 			return def, nil
 		}
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("%s must be numeric, got %q", key, s)
+		if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+			return 0, fmt.Errorf("%s must be a finite non-negative number, got %q", key, s)
 		}
 		return v, nil
 	}
-	var features lvrf.Features
-	shipType, errT := parse("type", 70)
 	length, errL := parse("length", 190)
 	draught, errD := parse("draught", 10)
-	for _, err := range []error{errT, errL, errD} {
+	for _, err := range []error{errL, errD} {
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	}
-	features = lvrf.Features{ShipType: uint8(shipType), Length: length, Draught: draught}
+	features := lvrf.Features{ShipType: uint8(shipType), Length: length, Draught: draught}
 	model := a.p.RouteModel()
 	if model == nil {
 		http.Error(w, "route model not configured", http.StatusNotFound)
@@ -477,7 +470,6 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("seatwin_forecasts_total", "route forecasts produced", float64(s.Forecasts))
 	counter("seatwin_events_total", "maritime events detected or forecast", float64(s.Events))
 	counter("seatwin_dead_letters_total", "undeliverable actor messages", float64(s.DeadLetter))
-	counter("seatwin_bad_sentences_total", "rejected NMEA sentences", float64(a.p.BadSentences()))
 	counter("seatwin_retry_attempts_total", "store/consume operation attempts under the retry policy", float64(s.RetryAttempts))
 	counter("seatwin_retry_retried_total", "operations that succeeded after at least one retry", float64(s.RetryRetried))
 	counter("seatwin_retry_exhausted_total", "operations dropped to degraded mode after exhausting retries", float64(s.RetryExhausted))
@@ -537,12 +529,6 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("seatwin_feed_frames_conflated_total", "frames conflated in place by key", float64(fs.Conflated))
 		counter("seatwin_feed_disconnects_total", "slow consumers force-disconnected", float64(fs.Disconnected))
 		gauge("seatwin_feed_fanout_p99_seconds", "p99 hub fan-out latency per publish since process start", fs.FanoutP99.Seconds())
-		if rs := hub.RelayStats(); rs.Relays > 0 {
-			gauge("seatwin_feed_relays", "relay tiers attached to the hub", float64(rs.Relays))
-			gauge("seatwin_feed_relay_subscribers", "local subscribers behind relay tiers", float64(rs.Subscribers))
-			counter("seatwin_feed_relay_frames_total", "frames pumped through relay tiers", float64(rs.Relayed))
-			counter("seatwin_feed_relay_fanned_total", "frame deliveries enqueued to relay-local rings", float64(rs.Fanned))
-		}
 	}
 	vs := a.p.views.Stats()
 	gauge("seatwin_views_epoch", "current materialized-view epoch", float64(vs.Epoch))
@@ -556,11 +542,6 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("seatwin_views_vessels", "vessels in the current world-view snapshot", float64(vs.Vessels))
 	gauge("seatwin_views_cells", "hex cells in the current region snapshot", float64(vs.Cells))
 	gauge("seatwin_views_events_window", "events in the current recent-events window", float64(vs.EventsWindow))
-	if hub := a.p.cfg.Feed; hub != nil {
-		counter("seatwin_views_relay_conflation_drops_total",
-			"upstream frames conflated away or evicted in relay tiers before local fan-out",
-			float64(hub.RelayStats().ConflationDrops))
-	}
 	if in := a.p.cfg.Chaos; in != nil {
 		cs := in.Stats()
 		counter("seatwin_chaos_errors_total", "chaos-injected operation errors", float64(cs.Errors))
@@ -606,28 +587,16 @@ func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("seatwin_lifecycle_generation", "live model weight generation", float64(ls.Generation))
 	gauge("seatwin_lifecycle_last_live_ade_meters", "live model mean ADE on the most recent holdout", ls.LastLiveADE)
 	gauge("seatwin_lifecycle_last_candidate_ade_meters", "candidate mean ADE on the most recent holdout", ls.LastCandidateADE)
-	// Consumer-group lag, one gauge sample per topic+group pair, across
-	// every broker the pipeline touches (cluster forward topics and the
-	// dedicated output streams).
-	emittedLag := false
-	lag := func(bk *broker.Broker) {
-		if bk == nil {
-			return
-		}
-		for _, gl := range bk.GroupLags() {
-			if !emittedLag {
+	// Consumer-group lag on the cluster broker, one gauge sample per
+	// topic+group pair.
+	if cl := a.p.cl; cl != nil {
+		for i, gl := range cl.cfg.Broker.GroupLags() {
+			if i == 0 {
 				fmt.Fprintf(&b, "# HELP seatwin_broker_lag records committed offsets trail the log end by, per topic and group\n")
 				fmt.Fprintf(&b, "# TYPE seatwin_broker_lag gauge\n")
-				emittedLag = true
 			}
 			fmt.Fprintf(&b, "seatwin_broker_lag{topic=%q,group=%q} %d\n", gl.Topic, gl.Group, gl.Lag)
 		}
-	}
-	if cl := a.p.cl; cl != nil {
-		lag(cl.cfg.Broker)
-	}
-	if ob := a.p.cfg.OutputBroker; ob != nil && (a.p.cl == nil || ob != a.p.cl.cfg.Broker) {
-		lag(ob)
 	}
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		log.Printf("api: write metrics: %v", err)

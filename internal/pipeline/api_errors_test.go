@@ -23,6 +23,15 @@ func TestBadQueryParamsRejected(t *testing.T) {
 		{"/api/route?from=Piraeus&to=Heraklion&draught=deep", http.StatusBadRequest},
 		{"/api/route?from=Piraeus&to=Heraklion&type=big", http.StatusBadRequest},
 		{"/api/route?to=Heraklion", http.StatusBadRequest}, // missing from
+		// Out-of-range features: a ship type is one byte, and lengths
+		// and draughts are finite and non-negative.
+		{"/api/route?from=Piraeus&to=Heraklion&type=326", http.StatusBadRequest},
+		{"/api/route?from=Piraeus&to=Heraklion&type=-1", http.StatusBadRequest},
+		{"/api/route?from=Piraeus&to=Heraklion&type=70.9", http.StatusBadRequest},
+		{"/api/route?from=Piraeus&to=Heraklion&length=NaN", http.StatusBadRequest},
+		{"/api/route?from=Piraeus&to=Heraklion&length=-190", http.StatusBadRequest},
+		{"/api/route?from=Piraeus&to=Heraklion&draught=Inf", http.StatusBadRequest},
+		{"/api/route?from=Piraeus&to=Heraklion&draught=-0.5", http.StatusBadRequest},
 		// Well-formed parameters still work.
 		{"/api/vessels?limit=5", http.StatusOK},
 		{"/api/events?limit=5", http.StatusOK},

@@ -44,11 +44,11 @@ func feedCollisionPair(p *Pipeline) {
 
 // feedFrame is the subset of the wire document the e2e assertions need.
 type feedFrame struct {
-	Type  string `json:"type"`
-	MMSI  string `json:"mmsi"`
-	Class string `json:"class"`
-	A     string `json:"a"`
-	B     string `json:"b"`
+	Type  string  `json:"type"`
+	MMSI  string  `json:"mmsi"`
+	Class string  `json:"class"`
+	A     string  `json:"a"`
+	B     string  `json:"b"`
 	Lat   float64 `json:"lat"`
 }
 

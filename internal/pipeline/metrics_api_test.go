@@ -90,9 +90,9 @@ func metricsShape(body string) string {
 
 // TestMetricsSeriesGolden pins every series name, # TYPE and label set
 // /metrics emits, bare and with every optional block (feed hub, chaos
-// injector, cluster worker, output broker) switched on. Renaming a
-// series breaks scrapers: change a golden file only on purpose, from
-// the shape the failure prints.
+// injector, cluster worker) switched on. Renaming a series breaks
+// scrapers: change a golden file only on purpose, from the shape the
+// failure prints.
 func TestMetricsSeriesGolden(t *testing.T) {
 	full := func(t *testing.T) *Pipeline {
 		coord, err := cluster.NewCoordinator(cluster.CoordinatorOptions{Partitions: 8})
@@ -100,11 +100,9 @@ func TestMetricsSeriesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(coord.Close)
-		out := broker.New()
 		cfg := DefaultConfig(events.NewKinematicForecaster())
 		cfg.Feed = feed.NewHub(feed.Options{})
 		cfg.Chaos = chaos.New(chaos.Policy{Seed: 1})
-		cfg.OutputBroker = out
 		cfg.Cluster = &ClusterConfig{
 			WorkerID:          "a",
 			Membership:        coord,
@@ -117,9 +115,9 @@ func TestMetricsSeriesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { p.Shutdown(2 * time.Second) })
-		// An external consumer group keeps the output broker's lag
+		// An external consumer group keeps the cluster broker's lag
 		// series present whatever the cluster has subscribed so far.
-		if _, err := out.Subscribe("seatwin-states", "external"); err != nil {
+		if _, err := p.cl.cfg.Broker.Subscribe(p.cl.topics[0], "external"); err != nil {
 			t.Fatal(err)
 		}
 		return p

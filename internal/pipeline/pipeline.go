@@ -74,9 +74,7 @@ type Config struct {
 	// Feed, when non-nil, receives every vessel state and event for
 	// live fan-out to push subscribers (SSE / TCP feed): the writer
 	// actors publish onto the actor system's EventStream and the hub is
-	// attached to it (see internal/feed). For a broker-decoupled
-	// deployment attach the hub to the output topics instead with
-	// feed.Hub.ConsumeLoop and DecodeFeedRecord.
+	// attached to it (see internal/feed).
 	Feed *feed.Hub
 	// Views is the read-side serving layer: the writer actors publish
 	// every vessel state and event into it, and the API serves
@@ -87,15 +85,6 @@ type Config struct {
 	// (Close it after Shutdown); nil makes the pipeline build one with
 	// views.Config defaults and close it in Shutdown.
 	Views *views.Views
-	// OutputBroker, when non-nil, receives dedicated output streams —
-	// the §7 plan to "leverage Kafka topics to produce streams of
-	// dedicated system, model and actor-based outputs": the writer
-	// actors produce every event to OutputEventsTopic and every vessel
-	// state/forecast to OutputStatesTopic (keyed by MMSI), for external
-	// consumers to subscribe to.
-	OutputBroker      *broker.Broker
-	OutputEventsTopic string
-	OutputStatesTopic string
 	// CheckpointInterval is how many accepted reports a vessel actor
 	// processes between history checkpoints into the store (0 = 16;
 	// negative = checkpointing and rehydration disabled). Actors also
@@ -182,12 +171,11 @@ type Pipeline struct {
 	latency  *metrics.ShardedLatencyRecorder // vessel-actor processing time
 	inferLat *metrics.ShardedLatencyRecorder // model-inference slice of processing
 
-	messages     *metrics.ShardedCounter
-	forecasts    *metrics.ShardedCounter
-	badSentences int64
-	vessels      int64 // distinct vessel actors spawned (paper's x-axis)
-	ingested     int64 // messages accepted by Ingest (Drain's idle test)
-	closed       int32
+	messages  *metrics.ShardedCounter
+	forecasts *metrics.ShardedCounter
+	vessels   int64 // distinct vessel actors spawned (paper's x-axis)
+	ingested  int64 // messages accepted by Ingest (Drain's idle test)
+	closed    int32
 
 	// Durability counters (seatwin_retry_* / seatwin_checkpoint_*).
 	retryAttempts  *metrics.ShardedCounter // total tries across retried ops
@@ -203,9 +191,6 @@ type Pipeline struct {
 	// cumulative stats (delta-pushed, so the actors stay lock-free).
 	proxDet detectorMetrics
 	collDet detectorMetrics
-
-	// assembler reassembles multi-fragment AIVDM input for IngestNMEA.
-	assembler *ais.Assembler
 
 	// Cooldown of pairwise events across passes: the owner rule emits a
 	// collision pair from one cell per pass, but later passes (possibly
@@ -371,7 +356,6 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		messages:   metrics.NewShardedCounter(0),
 		forecasts:  metrics.NewShardedCounter(0),
 		writerMask: uint64(cfg.Writers - 1),
-		assembler:  ais.NewAssembler(),
 
 		vesselRoutes:    newRouteCache(),
 		proximityRoutes: newRouteCache(),
@@ -409,20 +393,6 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		vw.SetCongestionSource(func() []congestion.Status {
 			return mon.Snapshot(time.Time{}) // zero = newest observed (sim time)
 		})
-	}
-	if cfg.OutputBroker != nil {
-		if p.cfg.OutputEventsTopic == "" {
-			p.cfg.OutputEventsTopic = "seatwin-events"
-		}
-		if p.cfg.OutputStatesTopic == "" {
-			p.cfg.OutputStatesTopic = "seatwin-states"
-		}
-		if err := cfg.OutputBroker.CreateTopic(p.cfg.OutputEventsTopic, 4); err != nil {
-			return nil, err
-		}
-		if err := cfg.OutputBroker.CreateTopic(p.cfg.OutputStatesTopic, 4); err != nil {
-			return nil, err
-		}
 	}
 	// Route-cache invalidation rides the registry's unregister hook:
 	// stopped or passivated actors drop their cached routes.
@@ -654,31 +624,6 @@ func mergeStatic(prev, next ais.StaticVoyage) ais.StaticVoyage {
 	}
 	return out
 }
-
-// IngestNMEA routes one raw AIVDM sentence into the pipeline,
-// assembling multi-fragment messages internally. Invalid sentences are
-// counted and dropped (a live receiver feed always carries corrupt
-// lines). It returns an error only for malformed input, which callers
-// may ignore for lossy feeds.
-func (p *Pipeline) IngestNMEA(line string, receivedAt time.Time) error {
-	s, err := ais.ParseSentence(line)
-	if err != nil {
-		atomic.AddInt64(&p.badSentences, 1)
-		return err
-	}
-	msg, err := p.assembler.Push(s, receivedAt)
-	if err != nil {
-		atomic.AddInt64(&p.badSentences, 1)
-		return err
-	}
-	if msg != nil {
-		p.Ingest(msg, receivedAt)
-	}
-	return nil
-}
-
-// BadSentences returns how many undecodable NMEA lines were dropped.
-func (p *Pipeline) BadSentences() int64 { return atomic.LoadInt64(&p.badSentences) }
 
 // TimedMessage pairs a decoded AIS message with its receive time, the
 // unit of batched ingestion.
@@ -1094,26 +1039,3 @@ func (p *Pipeline) Feed() *feed.Hub { return p.cfg.Feed }
 // Config.Views when one was provided (the caller closes it), else the
 // pipeline's own, which Shutdown closes.
 func (p *Pipeline) Views() *views.Views { return p.views }
-
-// DecodeFeedRecord converts one record of the seatwin-states /
-// seatwin-events output topics into a feed hub input — the adapter for
-// running a feed.Hub against the durable broker instead of embedded:
-//
-//	go hub.ConsumeLoop(statesConsumer, pipeline.DecodeFeedRecord, time.Hour)
-func DecodeFeedRecord(r broker.Record) (any, bool) {
-	switch v := r.Value.(type) {
-	case StateOutput:
-		return feed.State{
-			MMSI: v.Report.MMSI,
-			Lat:  v.Report.Lat, Lon: v.Report.Lon,
-			SOG: v.Report.SOG, COG: v.Report.COG,
-			Status:   v.Report.Status.String(),
-			TS:       v.Report.Timestamp,
-			Forecast: v.Forecast,
-		}, true
-	case events.Event:
-		return v, true
-	default:
-		return nil, false
-	}
-}
