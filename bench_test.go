@@ -151,24 +151,19 @@ func BenchmarkVTFF_IndirectVsDirect(b *testing.B) {
 // BenchmarkGetOrSpawnParallel measures a registry spawn storm: every
 // iteration materialises a new named actor — mimicking first contact of
 // new MMSIs and hexgrid cells — interleaved with re-lookups of already
-// registered hot names (the steady-state case). The shards-1 variant
-// reproduces the pre-sharding global registry lock as the baseline.
+// registered hot names (the steady-state case).
 func BenchmarkGetOrSpawnParallel(b *testing.B) {
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			sys := actor.NewSystemSharded("bench", shards)
-			defer sys.Shutdown(time.Second)
-			props := actor.PropsOf(func(c *actor.Context) {})
-			var next int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					n := atomic.AddInt64(&next, 1)
-					sys.GetOrSpawn("v-"+strconv.FormatInt(n, 10), props)
-					sys.GetOrSpawn("v-"+strconv.FormatInt(n>>4, 10), props)
-				}
-			})
-		})
-	}
+	sys := actor.NewSystem("bench")
+	defer sys.Shutdown(time.Second)
+	props := actor.PropsOf(func(c *actor.Context) {})
+	var next int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			n := atomic.AddInt64(&next, 1)
+			sys.GetOrSpawn("v-"+strconv.FormatInt(n, 10), props)
+			sys.GetOrSpawn("v-"+strconv.FormatInt(n>>4, 10), props)
+		}
+	})
 }
 
 // BenchmarkLiveFeedEndToEnd measures the full push path: AIS reports
@@ -395,10 +390,11 @@ func BenchmarkAblation_HexResolution(b *testing.B) {
 		b.Run(fmt.Sprintf("res-%d", res), func(b *testing.B) {
 			edge := hexgrid.EdgeLengthMeters(res)
 			p := geo.Point{Lat: 37.5, Lon: 24.5}
+			var disk []hexgrid.Cell
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cell := hexgrid.LatLonToCell(p, res)
-				cell.GridDisk(1)
+				disk = cell.AppendGridDisk(disk[:0], 1)
 			}
 			b.ReportMetric(edge, "edge-m")
 		})

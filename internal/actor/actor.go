@@ -1,8 +1,7 @@
 // Package actor implements the actor-model runtime the maritime
 // forecasting pipeline is built on, playing the role Akka plays in the
 // paper: lightweight isolated actors, asynchronous message passing,
-// supervision with restarts, dead letters, an event stream and
-// request/response futures.
+// supervision with restarts, dead letters and an event stream.
 //
 // The runtime uses dispatcher-style scheduling rather than one parked
 // goroutine per actor: each actor owns a multi-producer mailbox and an
@@ -17,10 +16,10 @@
 //	pid := sys.Spawn(actor.PropsOf(func(c *actor.Context) {
 //	        switch msg := c.Message().(type) {
 //	        case string:
-//	                c.Respond("got " + msg)
+//	                log.Println("got", msg)
 //	        }
 //	}))
-//	reply, err := sys.Ask(pid, "hello", time.Second)
+//	sys.Send(pid, "hello")
 package actor
 
 import (
@@ -30,7 +29,7 @@ import (
 )
 
 // Actor is the behaviour of an actor: it is invoked once per message
-// with a Context carrying the message, the sender and the runtime.
+// with a Context carrying the message and the runtime.
 // Receive is never invoked concurrently for the same actor instance.
 type Actor interface {
 	Receive(c *Context)
@@ -47,8 +46,7 @@ type (
 	// Started is the first message an actor receives, before any user
 	// message, and again after each restart.
 	Started struct{}
-	// Stopping is delivered when a stop has been requested, before the
-	// children are stopped.
+	// Stopping is delivered when a stop has been requested.
 	Stopping struct{}
 	// Stopped is the last message an actor receives.
 	Stopped struct{}
@@ -102,14 +100,6 @@ type (
 // poisonPill travels the user lane so every message enqueued before it
 // is processed first; receiving it stops the actor (System.Poison).
 type poisonPill struct{}
-
-// Deadline errors for Ask.
-var (
-	// ErrTimeout is returned by Ask when no reply arrives in time.
-	ErrTimeout = fmt.Errorf("actor: ask timed out")
-	// ErrDeadLetter is returned by Ask when the target is not alive.
-	ErrDeadLetter = fmt.Errorf("actor: target is stopped")
-)
 
 // DeadLetter is published on the system event stream whenever a message
 // cannot be delivered.

@@ -8,32 +8,6 @@ import (
 	"time"
 )
 
-const askTimeout = 5 * time.Second
-
-// echoActor responds to any user message with the same message.
-func echoProps() *Props {
-	return PropsOf(func(c *Context) {
-		switch c.Message().(type) {
-		case Started, Stopping, Stopped, Restarting:
-		default:
-			c.Respond(c.Message())
-		}
-	})
-}
-
-func TestAskEcho(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	pid := sys.Spawn(echoProps())
-	reply, err := sys.Ask(pid, "hello", askTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply != "hello" {
-		t.Fatalf("reply = %v", reply)
-	}
-}
-
 func TestMessagesProcessedInOrder(t *testing.T) {
 	sys := NewSystem("t")
 	defer sys.Shutdown(time.Second)
@@ -53,7 +27,7 @@ func TestMessagesProcessedInOrder(t *testing.T) {
 	}
 	select {
 	case <-done:
-	case <-time.After(askTimeout):
+	case <-time.After(waitTimeout):
 		t.Fatal("timed out")
 	}
 	if len(got) != n {
@@ -108,7 +82,7 @@ func TestSingleSenderOrderingManyActors(t *testing.T) {
 	case <-waitDone:
 	case err := <-errs:
 		t.Fatal(err)
-	case <-time.After(askTimeout):
+	case <-time.After(waitTimeout):
 		t.Fatal("timed out")
 	}
 }
@@ -149,7 +123,7 @@ func TestNoConcurrentReceive(t *testing.T) {
 	wg.Wait()
 	select {
 	case <-done:
-	case <-time.After(askTimeout):
+	case <-time.After(waitTimeout):
 		t.Fatal("timed out")
 	}
 	if atomic.LoadInt32(&maxSeen) != 1 {
@@ -179,9 +153,7 @@ func TestLifecycleSequence(t *testing.T) {
 		}
 	}))
 	sys.Send(pid, "x")
-	if err := sys.PoisonWait(pid, askTimeout); err != nil {
-		t.Fatal(err)
-	}
+	poisonWait(t, sys, pid)
 	mu.Lock()
 	defer mu.Unlock()
 	want := []string{"started", "msg", "stopping", "stopped"}
@@ -214,7 +186,7 @@ func TestStopOvertakesQueuedMessages(t *testing.T) {
 	}
 	sys.Stop(pid)
 	close(block)
-	deadline := time.Now().Add(askTimeout)
+	deadline := time.Now().Add(waitTimeout)
 	for pid.Alive() {
 		if time.Now().After(deadline) {
 			t.Fatal("never stopped")
@@ -234,9 +206,7 @@ func TestStopOvertakesQueuedMessages(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sys.Send(pid2, "work")
 	}
-	if err := sys.PoisonWait(pid2, askTimeout); err != nil {
-		t.Fatal(err)
-	}
+	poisonWait(t, sys, pid2)
 	if n := atomic.LoadInt32(&poisonProcessed); n != 100 {
 		t.Fatalf("poison processed %d/100 queued messages", n)
 	}
@@ -248,14 +218,12 @@ func TestSendToStoppedGoesToDeadLetters(t *testing.T) {
 	unsub := SubscribeType(sys.Events(), func(DeadLetter) { atomic.AddInt32(&dead, 1) })
 	defer unsub()
 	pid := sys.Spawn(echoProps())
-	if err := sys.StopWait(pid, askTimeout); err != nil {
-		t.Fatal(err)
-	}
+	stopWait(t, sys, pid)
 	if pid.Alive() {
 		t.Fatal("pid must report not alive after stop")
 	}
 	sys.Send(pid, "ghost")
-	deadline := time.Now().Add(askTimeout)
+	deadline := time.Now().Add(waitTimeout)
 	for atomic.LoadInt32(&dead) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("dead letter never published")
@@ -272,27 +240,23 @@ func TestRestartOnPanic(t *testing.T) {
 		atomic.AddInt32(&instances, 1)
 		count := 0
 		return ReceiveFunc(func(c *Context) {
-			switch c.Message().(type) {
+			switch m := c.Message().(type) {
 			case string:
 				count++
-				if c.Message() == "boom" {
-					panic("kaboom")
-				}
-				c.Respond(count)
+				panic("kaboom")
+			case request:
+				count++
+				m.reply <- count
 			}
 		})
 	})
 	pid := sys.Spawn(props)
-	if r, err := sys.Ask(pid, "a", askTimeout); err != nil || r != 1 {
-		t.Fatalf("r=%v err=%v", r, err)
+	if r := call(t, sys, pid, "a"); r != 1 {
+		t.Fatalf("r=%v", r)
 	}
 	sys.Send(pid, "boom")
 	// After the restart, state is reset: the counter starts over.
-	r, err := sys.Ask(pid, "b", askTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 1 {
+	if r := call(t, sys, pid, "b"); r != 1 {
 		t.Fatalf("state not reset after restart: count=%v", r)
 	}
 	if atomic.LoadInt32(&instances) != 2 {
@@ -306,23 +270,23 @@ func TestResumeDirectiveKeepsState(t *testing.T) {
 	props := PropsFromProducer(func() Actor {
 		count := 0
 		return ReceiveFunc(func(c *Context) {
-			switch c.Message().(type) {
+			switch m := c.Message().(type) {
 			case string:
-				if c.Message() == "boom" {
-					panic("kaboom")
-				}
+				panic("kaboom")
+			case request:
 				count++
-				c.Respond(count)
+				m.reply <- count
 			}
 		})
-	}).WithStrategy(SupervisorStrategy{Directive: DirectiveResume})
+	})
+	props.strategy = SupervisorStrategy{Directive: DirectiveResume}
 	pid := sys.Spawn(props)
-	if r, _ := sys.Ask(pid, "a", askTimeout); r != 1 {
+	if r := call(t, sys, pid, "a"); r != 1 {
 		t.Fatalf("r=%v", r)
 	}
 	sys.Send(pid, "boom")
-	if r, err := sys.Ask(pid, "b", askTimeout); err != nil || r != 2 {
-		t.Fatalf("state lost on resume: r=%v err=%v", r, err)
+	if r := call(t, sys, pid, "b"); r != 2 {
+		t.Fatalf("state lost on resume: r=%v", r)
 	}
 }
 
@@ -332,10 +296,11 @@ func TestStopDirective(t *testing.T) {
 		if c.Message() == "boom" {
 			panic("kaboom")
 		}
-	}).WithStrategy(SupervisorStrategy{Directive: DirectiveStop})
+	})
+	props.strategy = SupervisorStrategy{Directive: DirectiveStop}
 	pid := sys.Spawn(props)
 	sys.Send(pid, "boom")
-	deadline := time.Now().Add(askTimeout)
+	deadline := time.Now().Add(waitTimeout)
 	for pid.Alive() {
 		if time.Now().After(deadline) {
 			t.Fatal("actor not stopped after panic with stop directive")
@@ -350,12 +315,13 @@ func TestRestartBudgetStopsActor(t *testing.T) {
 		if c.Message() == "boom" {
 			panic("kaboom")
 		}
-	}).WithStrategy(SupervisorStrategy{Directive: DirectiveRestart, MaxRestarts: 3, WindowSeconds: 60})
+	})
+	props.strategy = SupervisorStrategy{Directive: DirectiveRestart, MaxRestarts: 3, WindowSeconds: 60}
 	pid := sys.Spawn(props)
 	for i := 0; i < 10; i++ {
 		sys.Send(pid, "boom")
 	}
-	deadline := time.Now().Add(askTimeout)
+	deadline := time.Now().Add(waitTimeout)
 	for pid.Alive() {
 		if time.Now().After(deadline) {
 			t.Fatal("actor not stopped after exceeding restart budget")
@@ -367,37 +333,6 @@ func TestRestartBudgetStopsActor(t *testing.T) {
 	}
 }
 
-func TestChildrenStoppedWithParent(t *testing.T) {
-	sys := NewSystem("t")
-	childReady := make(chan *PID, 1)
-	parent := sys.Spawn(PropsOf(func(c *Context) {
-		if c.Message() == "spawn" {
-			kid := c.Spawn(echoProps())
-			childReady <- kid
-		}
-	}))
-	sys.Send(parent, "spawn")
-	var kid *PID
-	select {
-	case kid = <-childReady:
-	case <-time.After(askTimeout):
-		t.Fatal("child never spawned")
-	}
-	if _, err := sys.Ask(kid, "ping", askTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.StopWait(parent, askTimeout); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(askTimeout)
-	for kid.Alive() {
-		if time.Now().After(deadline) {
-			t.Fatal("child still alive after parent stopped")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestNamedSpawnAndLookup(t *testing.T) {
 	sys := NewSystem("t")
 	defer sys.Shutdown(time.Second)
@@ -405,13 +340,13 @@ func TestNamedSpawnAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Lookup("vessel-123"); got != pid {
+	if got := lookup(sys, "vessel-123"); got != pid {
 		t.Fatalf("lookup = %v want %v", got, pid)
 	}
 	if _, err := sys.SpawnNamed(echoProps(), "vessel-123"); err == nil {
 		t.Fatal("duplicate name must fail")
 	}
-	if sys.Lookup("no-such") != nil {
+	if lookup(sys, "no-such") != nil {
 		t.Fatal("unknown lookup must be nil")
 	}
 }
@@ -419,10 +354,8 @@ func TestNamedSpawnAndLookup(t *testing.T) {
 func TestLookupAfterStopIsNil(t *testing.T) {
 	sys := NewSystem("t")
 	pid, _ := sys.SpawnNamed(echoProps(), "temp")
-	if err := sys.StopWait(pid, askTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Lookup("temp") != nil {
+	stopWait(t, sys, pid)
+	if lookup(sys, "temp") != nil {
 		t.Fatal("stopped actor must be unregistered")
 	}
 	// Name is reusable after stop.
@@ -461,47 +394,6 @@ func TestGetOrSpawnConcurrent(t *testing.T) {
 	}
 }
 
-func TestAskTimeout(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	pid := sys.Spawn(PropsOf(func(c *Context) {})) // never responds
-	_, err := sys.Ask(pid, "anyone?", 30*time.Millisecond)
-	if err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-}
-
-func TestAskDeadTarget(t *testing.T) {
-	sys := NewSystem("t")
-	pid := sys.Spawn(echoProps())
-	if err := sys.StopWait(pid, askTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Ask(pid, "x", askTimeout); err != ErrDeadLetter {
-		t.Fatalf("err = %v, want ErrDeadLetter", err)
-	}
-}
-
-func TestForwardPreservesSender(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	final := sys.Spawn(echoProps())
-	relay := sys.Spawn(PropsOf(func(c *Context) {
-		switch c.Message().(type) {
-		case Started, Stopping, Stopped:
-		default:
-			c.Forward(final)
-		}
-	}))
-	reply, err := sys.Ask(relay, "through", askTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply != "through" {
-		t.Fatalf("reply = %v", reply)
-	}
-}
-
 func TestSendAfter(t *testing.T) {
 	sys := NewSystem("t")
 	defer sys.Shutdown(time.Second)
@@ -518,7 +410,7 @@ func TestSendAfter(t *testing.T) {
 		if d := time.Since(start); d < 40*time.Millisecond {
 			t.Fatalf("delivered too early: %v", d)
 		}
-	case <-time.After(askTimeout):
+	case <-time.After(waitTimeout):
 		t.Fatal("timer message never arrived")
 	}
 }
@@ -552,8 +444,8 @@ func TestEventStreamPubSub(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != "two" {
 		t.Fatalf("got = %v", got)
 	}
-	if es.Len() != 0 {
-		t.Fatalf("subscriptions remain: %d", es.Len())
+	if n := es.subscriptions(); n != 0 {
+		t.Fatalf("subscriptions remain: %d", n)
 	}
 }
 
@@ -592,7 +484,7 @@ func TestFailureEventPublished(t *testing.T) {
 		if f.Reason != "kaboom" || f.Message != "boom" {
 			t.Fatalf("failure event = %+v", f)
 		}
-	case <-time.After(askTimeout):
+	case <-time.After(waitTimeout):
 		t.Fatal("failure event never published")
 	}
 }
@@ -600,14 +492,10 @@ func TestFailureEventPublished(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	sys := NewSystem("t")
 	pid := sys.Spawn(echoProps())
-	if _, err := sys.Ask(pid, "x", askTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.StopWait(pid, askTimeout); err != nil {
-		t.Fatal(err)
-	}
+	call(t, sys, pid, "x")
+	stopWait(t, sys, pid)
 	s := sys.StatsSnapshot()
-	if s.ActorsSpawned < 2 { // echo + future
+	if s.ActorsSpawned != 1 {
 		t.Fatalf("spawned = %d", s.ActorsSpawned)
 	}
 	if s.MessagesProcessed == 0 {
@@ -629,9 +517,7 @@ func TestLiveActorsTracksSpawnStop(t *testing.T) {
 		t.Fatalf("live = %d want %d", got, base+10)
 	}
 	for _, pid := range pids {
-		if err := sys.StopWait(pid, askTimeout); err != nil {
-			t.Fatal(err)
-		}
+		stopWait(t, sys, pid)
 	}
 	if got := sys.LiveActors(); got != base {
 		t.Fatalf("live = %d want %d", got, base)
@@ -684,7 +570,7 @@ func TestMailboxLenBackpressureSignal(t *testing.T) {
 			<-release
 		case "measure":
 			select {
-			case lens <- c.MailboxLen():
+			case lens <- c.Self().process.mb.Len():
 			default:
 			}
 		}
@@ -699,7 +585,7 @@ func TestMailboxLenBackpressureSignal(t *testing.T) {
 		if l < 0 {
 			t.Fatalf("mailbox len = %d", l)
 		}
-	case <-time.After(askTimeout):
+	case <-time.After(waitTimeout):
 		t.Fatal("no measurement")
 	}
 }
@@ -716,27 +602,6 @@ func TestPIDString(t *testing.T) {
 	pid, _ := sys.SpawnNamed(echoProps(), "writer")
 	if pid.Name() != "writer" {
 		t.Fatalf("name = %q", pid.Name())
-	}
-}
-
-func TestRespondWithoutSenderIsDeadLetter(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	var dead int32
-	unsub := SubscribeType(sys.Events(), func(DeadLetter) { atomic.AddInt32(&dead, 1) })
-	defer unsub()
-	pid := sys.Spawn(PropsOf(func(c *Context) {
-		if c.Message() == "go" {
-			c.Respond("to nobody")
-		}
-	}))
-	sys.Send(pid, "go")
-	deadline := time.Now().Add(askTimeout)
-	for atomic.LoadInt32(&dead) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("respond without sender must dead-letter")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -758,18 +623,6 @@ func BenchmarkSendReceive(b *testing.B) {
 		sys.Send(pid, i)
 	}
 	<-done
-}
-
-func BenchmarkAsk(b *testing.B) {
-	sys := NewSystem("b")
-	defer sys.Shutdown(time.Second)
-	pid := sys.Spawn(echoProps())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask(pid, i, askTimeout); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkSpawn(b *testing.B) {

@@ -52,9 +52,7 @@ func TestSendBatchDeadTarget(t *testing.T) {
 	defer sys.Shutdown(time.Second)
 
 	pid := sys.Spawn(PropsOf(func(c *Context) {}))
-	if err := sys.StopWait(pid, time.Second); err != nil {
-		t.Fatal(err)
-	}
+	stopWait(t, sys, pid)
 	before := sys.StatsSnapshot().DeadLetters
 	sys.SendBatch(pid, []any{1, 2, 3})
 	if got := sys.StatsSnapshot().DeadLetters - before; got != 3 {
@@ -156,11 +154,9 @@ func TestOnUnregisterHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.StopWait(pid, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Lookup after death must not re-fire the hook (unregister won).
-	if got := sys.Lookup("hooked"); got != nil {
+	stopWait(t, sys, pid)
+	// A lookup after death must not re-fire the hook (unregister won).
+	if got := lookup(sys, "hooked"); got != nil {
 		t.Fatalf("dead actor still registered: %v", got)
 	}
 	mu.Lock()

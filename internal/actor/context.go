@@ -2,17 +2,15 @@ package actor
 
 import "time"
 
-// Context carries one message delivery: the message itself, its sender,
-// the receiving actor's identity and the operations an actor may perform
-// while processing (send, spawn children, stop, respond).
+// Context carries one message delivery: the message itself, the
+// receiving actor's identity and the operations an actor may perform
+// while processing (send, schedule, stop).
 //
 // A Context is only valid for the duration of the Receive call it was
 // passed to.
 type Context struct {
 	system  *System
-	process *process
 	self    *PID
-	sender  *PID
 	message any
 }
 
@@ -22,62 +20,16 @@ func (c *Context) Message() any { return c.message }
 // Self returns the PID of the processing actor.
 func (c *Context) Self() *PID { return c.self }
 
-// Sender returns the PID the message was sent with, or nil for
-// fire-and-forget sends and lifecycle messages.
-func (c *Context) Sender() *PID { return c.sender }
-
-// System returns the owning actor system.
-func (c *Context) System() *System { return c.system }
-
 // Send delivers a fire-and-forget message to target, with this actor
 // recorded as the sender.
 func (c *Context) Send(target *PID, msg any) {
 	c.system.sendWithSender(target, msg, c.self)
 }
 
-// Forward re-sends the current message to target preserving the
-// original sender, so replies skip the intermediary.
-func (c *Context) Forward(target *PID) {
-	c.system.sendWithSender(target, c.message, c.sender)
-}
-
-// Respond replies to the sender of the current message. Messages sent
-// without a sender (including lifecycle messages) make Respond a no-op
-// routed to dead letters.
-func (c *Context) Respond(msg any) {
-	if c.sender == nil {
-		c.system.deadLetter(nil, msg, c.self)
-		return
-	}
-	c.system.sendWithSender(c.sender, msg, c.self)
-}
-
-// Spawn creates a child of this actor. Children are stopped
-// automatically when this actor stops.
-func (c *Context) Spawn(props *Props) *PID {
-	pid := c.system.spawn(props, "", c.self)
-	c.process.addChild(pid)
-	return pid
-}
-
-// SpawnNamed creates a named child of this actor; see System.SpawnNamed.
-func (c *Context) SpawnNamed(props *Props, name string) (*PID, error) {
-	pid, err := c.system.spawnNamed(props, name, c.self)
-	if err != nil {
-		return nil, err
-	}
-	c.process.addChild(pid)
-	return pid, nil
-}
-
 // Stop requests this actor to stop after the current message.
 func (c *Context) Stop() {
 	c.system.Stop(c.self)
 }
-
-// MailboxLen returns the number of user messages waiting in this
-// actor's mailbox, which the pipeline uses for backpressure signals.
-func (c *Context) MailboxLen() int64 { return c.process.mb.Len() }
 
 // SendAfter schedules msg to be sent to target after the delay. The
 // returned timer may be stopped to cancel delivery.

@@ -1,7 +1,6 @@
 package actor
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -13,9 +12,7 @@ func TestGetOrSpawnRespawnAfterStop(t *testing.T) {
 	if !spawned {
 		t.Fatal("first call must spawn")
 	}
-	if err := sys.StopWait(pid1, askTimeout); err != nil {
-		t.Fatal(err)
-	}
+	stopWait(t, sys, pid1)
 	pid2, spawned := sys.GetOrSpawn("cell-7", props)
 	if !spawned {
 		t.Fatal("stopped actor must be respawned")
@@ -23,67 +20,16 @@ func TestGetOrSpawnRespawnAfterStop(t *testing.T) {
 	if pid2 == pid1 {
 		t.Fatal("respawn returned the dead PID")
 	}
-	if _, err := sys.Ask(pid2, "alive?", askTimeout); err != nil {
-		t.Fatal(err)
+	if r := call(t, sys, pid2, "alive?"); r != "alive?" {
+		t.Fatalf("respawned actor replied %v", r)
 	}
 }
 
 func TestStopNilSafe(t *testing.T) {
 	sys := NewSystem("t")
-	sys.Stop(nil)   // no panic
-	sys.Poison(nil) // no panic
-	if err := sys.StopWait(nil, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.PoisonWait(nil, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	sys.Stop(nil)                  // no panic
+	sys.Poison(nil)                // no panic
 	sys.Send(nil, "into the void") // dead letter, no panic
-}
-
-func TestPerActorThroughputOverride(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	var processed int64
-	done := make(chan struct{})
-	const n = 1000
-	props := PropsOf(func(c *Context) {
-		if _, ok := c.Message().(int); ok {
-			if atomic.AddInt64(&processed, 1) == n {
-				close(done)
-			}
-		}
-	}).WithThroughput(1) // yield after every message
-	pid := sys.Spawn(props)
-	for i := 0; i < n; i++ {
-		sys.Send(pid, i)
-	}
-	select {
-	case <-done:
-	case <-time.After(askTimeout):
-		t.Fatalf("throughput-1 actor stalled at %d/%d", atomic.LoadInt64(&processed), n)
-	}
-}
-
-func TestAskConcurrent(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	pid := sys.Spawn(echoProps())
-	errs := make(chan error, 32)
-	for g := 0; g < 32; g++ {
-		go func(g int) {
-			r, err := sys.Ask(pid, g, askTimeout)
-			if err == nil && r != g {
-				err = ErrTimeout
-			}
-			errs <- err
-		}(g)
-	}
-	for g := 0; g < 32; g++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 func TestLifecyclePanicDoesNotBlockStop(t *testing.T) {
@@ -93,9 +39,7 @@ func TestLifecyclePanicDoesNotBlockStop(t *testing.T) {
 			panic("panics during shutdown")
 		}
 	}))
-	if err := sys.StopWait(pid, askTimeout); err != nil {
-		t.Fatalf("stop blocked by lifecycle panic: %v", err)
-	}
+	stopWait(t, sys, pid)
 	if pid.Alive() {
 		t.Fatal("actor still alive")
 	}
@@ -125,7 +69,7 @@ func TestRestartingMessageCarriesReason(t *testing.T) {
 		if reason != "kaboom-reason" {
 			t.Fatalf("reason = %v", reason)
 		}
-	case <-time.After(askTimeout):
+	case <-time.After(waitTimeout):
 		t.Fatal("Restarting never delivered")
 	}
 }

@@ -3,9 +3,8 @@ package actor
 import "sync"
 
 // EventStream is a simple synchronous publish/subscribe bus carrying
-// system events (dead letters, failures) and any user-published values.
-// Handlers run on the publisher's goroutine and must be fast and
-// non-blocking.
+// system events (dead letters, failures). Handlers run on the
+// publisher's goroutine and must be fast and non-blocking.
 type EventStream struct {
 	mu     sync.RWMutex
 	nextID int
@@ -15,30 +14,6 @@ type EventStream struct {
 // NewEventStream creates an empty stream.
 func NewEventStream() *EventStream {
 	return &EventStream{subs: make(map[int]func(any))}
-}
-
-// Subscribe registers a handler for every published event and returns
-// an unsubscribe function.
-func (e *EventStream) Subscribe(fn func(any)) (unsubscribe func()) {
-	e.mu.Lock()
-	id := e.nextID
-	e.nextID++
-	e.subs[id] = fn
-	e.mu.Unlock()
-	return func() {
-		e.mu.Lock()
-		delete(e.subs, id)
-		e.mu.Unlock()
-	}
-}
-
-// SubscribeType registers a handler invoked only for events of type T.
-func SubscribeType[T any](e *EventStream, fn func(T)) (unsubscribe func()) {
-	return e.Subscribe(func(ev any) {
-		if v, ok := ev.(T); ok {
-			fn(v)
-		}
-	})
 }
 
 // Publish delivers the event to every subscriber present when the call
@@ -60,11 +35,4 @@ func (e *EventStream) Publish(event any) {
 	for _, fn := range handlers {
 		fn(event)
 	}
-}
-
-// Len returns the number of active subscriptions.
-func (e *EventStream) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.subs)
 }

@@ -18,8 +18,8 @@ func TestEventStreamPublishSubscribe(t *testing.T) {
 	if got.Load() != 2 {
 		t.Fatalf("handler ran %d times, want 2", got.Load())
 	}
-	if es.Len() != 0 {
-		t.Fatalf("len %d after unsubscribe", es.Len())
+	if n := es.subscriptions(); n != 0 {
+		t.Fatalf("len %d after unsubscribe", n)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestEventStreamReentrantSubscribe(t *testing.T) {
 	if nested.Load() != 1 {
 		t.Fatalf("nested handler ran %d times, want 1", nested.Load())
 	}
-	if es.Len() != 1 {
-		t.Fatalf("len %d, want 1", es.Len())
+	if n := es.subscriptions(); n != 1 {
+		t.Fatalf("len %d, want 1", n)
 	}
 }
 

@@ -18,10 +18,6 @@ type process struct {
 
 	dead int32 // 1 once Stopped has been delivered
 
-	childMu  sync.Mutex
-	children map[*PID]struct{}
-	parent   *PID
-
 	restartMu    sync.Mutex
 	restartTimes []time.Time
 
@@ -109,10 +105,6 @@ func (p *process) flushUser() {
 }
 
 func (p *process) processBatch() {
-	throughput := p.props.throughput
-	if throughput <= 0 {
-		throughput = p.system.throughput
-	}
 	for i := 0; i < throughput; i++ {
 		if msg, ok := p.mb.popSystem(); ok {
 			p.handleSystem(msg)
@@ -150,7 +142,7 @@ func (p *process) invoke(e envelope) {
 			p.handleFailure(r, e)
 		}
 	}()
-	p.ctx = Context{system: p.system, process: p, self: p.pid, sender: e.sender, message: e.message}
+	p.ctx = Context{system: p.system, self: p.pid, message: e.message}
 	p.actor.Receive(&p.ctx)
 	atomic.AddUint64(&p.system.stats.MessagesProcessed, 1)
 }
@@ -163,7 +155,7 @@ func (p *process) invokeLifecycle(msg any) {
 			p.system.events.Publish(FailureEvent{PID: p.pid, Reason: r, Lifecycle: true})
 		}
 	}()
-	p.ctx = Context{system: p.system, process: p, self: p.pid, message: msg}
+	p.ctx = Context{system: p.system, self: p.pid, message: msg}
 	p.actor.Receive(&p.ctx)
 }
 
@@ -220,25 +212,12 @@ func (p *process) restartBudgetExceeded() bool {
 }
 
 // doStop runs the stop sequence inline on the processing goroutine:
-// Stopping -> stop children -> Stopped -> unregister + dead-letter the
-// remaining queue.
+// Stopping -> Stopped -> unregister + dead-letter the remaining queue.
 func (p *process) doStop() {
 	if !atomic.CompareAndSwapInt32(&p.stopping, 0, 1) {
 		return
 	}
 	p.invokeLifecycle(Stopping{})
-
-	p.childMu.Lock()
-	kids := make([]*PID, 0, len(p.children))
-	for kid := range p.children {
-		kids = append(kids, kid)
-	}
-	p.children = nil
-	p.childMu.Unlock()
-	for _, kid := range kids {
-		p.system.Stop(kid)
-	}
-
 	p.invokeLifecycle(Stopped{})
 	atomic.StoreInt32(&p.dead, 1)
 	p.system.unregister(p.pid)
@@ -247,13 +226,4 @@ func (p *process) doStop() {
 	// Flush whatever is still queued to dead letters.
 	p.flushUser()
 	close(p.done)
-}
-
-func (p *process) addChild(kid *PID) {
-	p.childMu.Lock()
-	if p.children == nil {
-		p.children = make(map[*PID]struct{})
-	}
-	p.children[kid] = struct{}{}
-	p.childMu.Unlock()
 }

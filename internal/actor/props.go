@@ -40,9 +40,8 @@ var DefaultStrategy = SupervisorStrategy{
 
 // Props describes how to create and run an actor.
 type Props struct {
-	producer   Producer
-	strategy   SupervisorStrategy
-	throughput int
+	producer Producer
+	strategy SupervisorStrategy
 }
 
 // PropsFromProducer builds Props from an actor factory.
@@ -53,19 +52,4 @@ func PropsFromProducer(p Producer) *Props {
 // PropsOf builds Props for a stateless receive function.
 func PropsOf(f ReceiveFunc) *Props {
 	return PropsFromProducer(func() Actor { return f })
-}
-
-// WithStrategy overrides the supervision strategy.
-func (p *Props) WithStrategy(s SupervisorStrategy) *Props {
-	q := *p
-	q.strategy = s
-	return &q
-}
-
-// WithThroughput overrides the number of messages an actor may process
-// per scheduling run before yielding (default inherited from System).
-func (p *Props) WithThroughput(n int) *Props {
-	q := *p
-	q.throughput = n
-	return &q
 }

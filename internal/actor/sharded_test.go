@@ -80,24 +80,14 @@ func TestGetOrSpawnConcurrentSpawnPassivate(t *testing.T) {
 	}
 
 	// Registry bookkeeping stays exact through the churn.
-	var liveNames int64
+	liveNames := 0
 	for i := 0; i < names; i++ {
-		if sys.Lookup("cell-"+strconv.Itoa(i)) != nil {
+		if lookup(sys, "cell-"+strconv.Itoa(i)) != nil {
 			liveNames++
 		}
 	}
-	if size := sys.RegistrySize(); size != liveNames {
-		t.Fatalf("RegistrySize = %d, live names = %d", size, liveNames)
-	}
-	var shardSum int64
-	for _, n := range sys.RegistryShardSizes() {
-		if n < 0 {
-			t.Fatalf("negative shard size %d", n)
-		}
-		shardSum += n
-	}
-	if shardSum != sys.RegistrySize() {
-		t.Fatalf("shard sizes sum %d != RegistrySize %d", shardSum, sys.RegistrySize())
+	if size := registrySize(sys); size != liveNames {
+		t.Fatalf("registry holds %d entries, live names = %d", size, liveNames)
 	}
 }
 
@@ -151,47 +141,28 @@ func TestSendBatchDuringStopLosesNothing(t *testing.T) {
 	}
 }
 
-// TestSingleShardSystemBehaves checks the shards=1 baseline (the
-// pre-sharding global lock) still provides the same semantics.
-func TestSingleShardSystemBehaves(t *testing.T) {
-	sys := NewSystemSharded("one", 1)
-	defer sys.Shutdown(time.Second)
-	props := PropsOf(func(c *Context) {})
-	a, spawnedA := sys.GetOrSpawn("x", props)
-	b, spawnedB := sys.GetOrSpawn("x", props)
-	if !spawnedA || spawnedB || a != b {
-		t.Fatalf("GetOrSpawn semantics broken: %v %v %v %v", a, spawnedA, b, spawnedB)
-	}
-	if sys.RegistrySize() != 1 || len(sys.RegistryShardSizes()) != 1 {
-		t.Fatalf("size bookkeeping: %d shards=%v", sys.RegistrySize(), sys.RegistryShardSizes())
-	}
-}
-
 // TestLookupRemovesDeadEntry verifies the stale-registry fix: a
-// registry entry whose actor has died is deleted eagerly by Lookup
-// instead of lingering until the process unregisters.
+// registry entry whose actor has died is deleted eagerly by the
+// registry read instead of lingering until the process unregisters.
 func TestLookupRemovesDeadEntry(t *testing.T) {
 	sys := NewSystem("t")
 	pid, err := sys.SpawnNamed(PropsOf(func(c *Context) {}), "zombie")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.StopWait(pid, time.Second); err != nil {
-		t.Fatal(err)
-	}
+	stopWait(t, sys, pid)
 	// Simulate the tombstone window: re-insert the dead pid as a stale
 	// entry, as if the unregister had not run yet.
 	sh := sys.shardOf("zombie")
 	sh.m.Store("zombie", pid)
-	sh.size.Add(1)
-	if sys.Lookup("zombie") != nil {
-		t.Fatal("dead entry returned from Lookup")
+	if lookup(sys, "zombie") != nil {
+		t.Fatal("dead entry returned from lookup")
 	}
 	if _, ok := sh.m.Load("zombie"); ok {
 		t.Fatal("dead entry not eagerly deleted")
 	}
-	if size := sys.RegistrySize(); size != 0 {
-		t.Fatalf("RegistrySize = %d after tombstone removal", size)
+	if size := registrySize(sys); size != 0 {
+		t.Fatalf("registry holds %d entries after tombstone removal", size)
 	}
 }
 
@@ -229,34 +200,5 @@ func TestQueuedMessagesCountsBacklog(t *testing.T) {
 	}
 	if q := sys.QueuedMessages(); q != 0 {
 		t.Fatalf("QueuedMessages = %d after drain, want 0", q)
-	}
-}
-
-// TestAskTargetStopsWithoutReply verifies the future-actor leak fix:
-// when the target dies mid-Ask the call returns promptly with
-// ErrDeadLetter and the internal future actor is stopped rather than
-// leaked until an external timeout.
-func TestAskTargetStopsWithoutReply(t *testing.T) {
-	sys := NewSystem("t")
-	pid := sys.Spawn(PropsOf(func(c *Context) {})) // never replies
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		sys.Stop(pid)
-	}()
-	start := time.Now()
-	_, err := sys.Ask(pid, "x", 5*time.Second)
-	if err != ErrDeadLetter {
-		t.Fatalf("err = %v, want ErrDeadLetter", err)
-	}
-	if since := time.Since(start); since > time.Second {
-		t.Fatalf("Ask took %v; should return promptly on target death", since)
-	}
-	// Both the target and the future must be gone.
-	deadline := time.Now().Add(2 * time.Second)
-	for sys.LiveActors() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := sys.LiveActors(); n != 0 {
-		t.Fatalf("%d actors leaked after Ask", n)
 	}
 }

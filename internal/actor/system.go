@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// System owns a tree of actors: a registry of named actors, the event
+// System owns a set of actors: a registry of named actors, the event
 // stream, dead-letter accounting and global defaults. One System per
 // process is the expected deployment, mirroring one Akka ActorSystem per
 // node in the paper's architecture.
@@ -18,13 +18,9 @@ import (
 // one actor per new MMSI and per first-contact hexgrid cell — contend
 // only within a shard instead of serialising system-wide on one mutex.
 type System struct {
-	name       string
-	throughput int
-
 	nextID uint64
 
-	shards    []registryShard
-	shardMask uint64
+	shards [registryShards]registryShard
 
 	events *EventStream
 	stats  Stats
@@ -43,10 +39,9 @@ type System struct {
 // take the shard mutex. The trailing pad keeps neighbouring shards off
 // the same cache line under write-heavy spawn storms.
 type registryShard struct {
-	mu   sync.Mutex
-	m    sync.Map // name -> *PID
-	size atomic.Int64
-	_    [64]byte
+	mu sync.Mutex
+	m  sync.Map // name -> *PID
+	_  [64]byte
 }
 
 // lookup returns the live PID registered under name in this shard.
@@ -65,7 +60,6 @@ func (sh *registryShard) lookup(name string, onUnregister func(*PID)) *PID {
 		return pid
 	}
 	if sh.m.CompareAndDelete(name, pid) {
-		sh.size.Add(-1)
 		if onUnregister != nil {
 			onUnregister(pid)
 		}
@@ -73,10 +67,14 @@ func (sh *registryShard) lookup(name string, onUnregister func(*PID)) *PID {
 	return nil
 }
 
-// defaultRegistryShards spreads spawn contention well past the core
-// counts of current hardware while keeping the per-system footprint
-// trivial (a few KiB).
-const defaultRegistryShards = 64
+// registryShards spreads spawn contention well past the core counts of
+// current hardware while keeping the per-system footprint trivial (a
+// few KiB). It is a power of two, so a hash masks to a shard.
+const registryShards = 64
+
+// throughput is the number of messages an actor processes per
+// scheduling run before yielding its goroutine.
+const throughput = 300
 
 // shardOf maps a name to its registry stripe (inlined FNV-1a).
 func (s *System) shardOf(name string) *registryShard {
@@ -89,7 +87,7 @@ func (s *System) shardOf(name string) *registryShard {
 		h ^= uint64(name[i])
 		h *= prime64
 	}
-	return &s.shards[h&s.shardMask]
+	return &s.shards[h&(registryShards-1)]
 }
 
 // Stats aggregates system-level counters. All fields are read with
@@ -103,36 +101,11 @@ type Stats struct {
 	Restarts          uint64
 }
 
-// NewSystem creates an actor system with the default per-run throughput
-// of 300 messages and the default registry shard count.
+// NewSystem creates an actor system. The name labels the system for
+// its caller; the runtime does not read it.
 func NewSystem(name string) *System {
-	return NewSystemSharded(name, defaultRegistryShards)
+	return &System{events: NewEventStream()}
 }
-
-// NewSystemSharded creates an actor system whose named-actor registry
-// is striped over the given number of shards, rounded up to a power of
-// two (minimum 1). A single shard reproduces the pre-sharding global
-// registry lock and serves as the benchmark baseline.
-func NewSystemSharded(name string, shards int) *System {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	return &System{
-		name:       name,
-		throughput: 300,
-		events:     NewEventStream(),
-		shards:     make([]registryShard, n),
-		shardMask:  uint64(n - 1),
-	}
-}
-
-// Name returns the system name.
-func (s *System) Name() string { return s.name }
-
-// Events returns the system event stream (dead letters, failures and
-// user-published events).
-func (s *System) Events() *EventStream { return s.events }
 
 // StatsSnapshot returns a consistent-enough copy of the counters.
 func (s *System) StatsSnapshot() Stats {
@@ -154,19 +127,9 @@ func (s *System) LiveActors() int64 {
 
 // Spawn starts a top-level actor with an auto-generated name.
 func (s *System) Spawn(props *Props) *PID {
-	return s.spawn(props, "", nil)
-}
-
-// SpawnNamed starts a top-level actor registered under the given unique
-// name; it fails if the name is taken.
-func (s *System) SpawnNamed(props *Props, name string) (*PID, error) {
-	return s.spawnNamed(props, name, nil)
-}
-
-// Lookup returns the PID registered under name, or nil. Dead entries
-// found along the way are removed eagerly (see registryShard.lookup).
-func (s *System) Lookup(name string) *PID {
-	return s.shardOf(name).lookup(name, s.hook())
+	pid := s.newProcess(props, "")
+	pid.process.sendSystem(sysStarted{})
+	return pid
 }
 
 // OnUnregister installs fn as the registry-removal hook: it is called
@@ -187,30 +150,10 @@ func (s *System) hook() func(*PID) {
 	return nil
 }
 
-// RegistrySize returns the number of named actors currently registered
-// across all shards.
-func (s *System) RegistrySize() int64 {
-	var total int64
-	for i := range s.shards {
-		total += s.shards[i].size.Load()
-	}
-	return total
-}
-
-// RegistryShardSizes returns the per-shard registry occupancy in shard
-// order — the skew diagnostic for the sharded runtime.
-func (s *System) RegistryShardSizes() []int64 {
-	out := make([]int64, len(s.shards))
-	for i := range s.shards {
-		out[i] = s.shards[i].size.Load()
-	}
-	return out
-}
-
 // QueuedMessages sums the user-mailbox depth of every registered named
-// actor — the backlog still awaiting processing. Anonymous actors
-// (Ask futures) are not counted; quiescence checks pair this with the
-// MessagesProcessed counter.
+// actor — the backlog still awaiting processing. Anonymous actors are
+// not counted; quiescence checks pair this with the MessagesProcessed
+// counter.
 func (s *System) QueuedMessages() int64 {
 	var total int64
 	for i := range s.shards {
@@ -236,14 +179,15 @@ func (s *System) GetOrSpawn(name string, props *Props) (*PID, bool) {
 	if pid := sh.lookup(name, s.hook()); pid != nil {
 		return pid, false
 	}
-	pid := s.newProcess(props, name, nil)
+	pid := s.newProcess(props, name)
 	sh.m.Store(name, pid)
-	sh.size.Add(1)
 	pid.process.sendSystem(sysStarted{})
 	return pid, true
 }
 
-func (s *System) spawnNamed(props *Props, name string, parent *PID) (*PID, error) {
+// SpawnNamed starts a top-level actor registered under the given unique
+// name; it fails if the name is taken.
+func (s *System) SpawnNamed(props *Props, name string) (*PID, error) {
 	if name == "" {
 		return nil, fmt.Errorf("actor: empty name")
 	}
@@ -253,20 +197,13 @@ func (s *System) spawnNamed(props *Props, name string, parent *PID) (*PID, error
 	if existing := sh.lookup(name, s.hook()); existing != nil {
 		return nil, fmt.Errorf("actor: name %q already registered", name)
 	}
-	pid := s.newProcess(props, name, parent)
+	pid := s.newProcess(props, name)
 	sh.m.Store(name, pid)
-	sh.size.Add(1)
 	pid.process.sendSystem(sysStarted{})
 	return pid, nil
 }
 
-func (s *System) spawn(props *Props, name string, parent *PID) *PID {
-	pid := s.newProcess(props, name, parent)
-	pid.process.sendSystem(sysStarted{})
-	return pid
-}
-
-func (s *System) newProcess(props *Props, name string, parent *PID) *PID {
+func (s *System) newProcess(props *Props, name string) *PID {
 	id := atomic.AddUint64(&s.nextID, 1)
 	if name == "" {
 		name = "$" + strconv.FormatUint(id, 10)
@@ -276,7 +213,6 @@ func (s *System) newProcess(props *Props, name string, parent *PID) *PID {
 		props:  props,
 		mb:     newMailbox(),
 		actor:  props.producer(),
-		parent: parent,
 		done:   make(chan struct{}),
 	}
 	pid := &PID{id: id, name: name, process: proc}
@@ -287,11 +223,10 @@ func (s *System) newProcess(props *Props, name string, parent *PID) *PID {
 
 func (s *System) unregister(pid *PID) {
 	sh := s.shardOf(pid.name)
-	// CompareAndDelete keeps the shard size exact when an eager Lookup
-	// deletion or a name-reusing respawn races this unregister; the
+	// CompareAndDelete keeps a name-reusing respawn registered when an
+	// eager lookup deletion or the respawn races this unregister; the
 	// unregister hook fires only on the side that won the removal.
 	if sh.m.CompareAndDelete(pid.name, pid) {
-		sh.size.Add(-1)
 		if fn := s.hook(); fn != nil {
 			fn(pid)
 		}
@@ -338,95 +273,12 @@ func (s *System) Poison(target *PID) {
 	target.process.sendUser(envelope{message: poisonPill{}})
 }
 
-// PoisonWait gracefully stops the target and blocks until it has fully
-// stopped or the timeout expires.
-func (s *System) PoisonWait(target *PID, timeout time.Duration) error {
-	if target == nil || target.process == nil {
-		return nil
-	}
-	s.Poison(target)
-	select {
-	case <-target.process.done:
-		return nil
-	case <-time.After(timeout):
-		return ErrTimeout
-	}
-}
-
 // Stop asynchronously stops the target and its children.
 func (s *System) Stop(target *PID) {
 	if target == nil || target.process == nil {
 		return
 	}
 	target.process.sendSystem(sysStop{})
-}
-
-// StopWait stops the target and blocks until it has fully stopped or
-// the timeout expires.
-func (s *System) StopWait(target *PID, timeout time.Duration) error {
-	if target == nil || target.process == nil {
-		return nil
-	}
-	s.Stop(target)
-	select {
-	case <-target.process.done:
-		return nil
-	case <-time.After(timeout):
-		return ErrTimeout
-	}
-}
-
-// futureActor captures the first user message into a channel.
-type futureActor struct{ ch chan any }
-
-func (f *futureActor) Receive(c *Context) {
-	switch c.Message().(type) {
-	case Started, Stopping, Stopped, Restarting:
-		return
-	}
-	select {
-	case f.ch <- c.Message():
-	default:
-	}
-	c.Stop()
-}
-
-// Ask sends msg to target and waits for a reply (sent via
-// Context.Respond or a direct Send to the internal future) for at most
-// timeout.
-func (s *System) Ask(target *PID, msg any, timeout time.Duration) (any, error) {
-	if target == nil || !target.Alive() {
-		return nil, ErrDeadLetter
-	}
-	ch := make(chan any, 1)
-	fpid := s.spawn(PropsFromProducer(func() Actor { return &futureActor{ch: ch} }), "", nil)
-	// The future must be stopped on every exit path — replying futures
-	// stop themselves, but a target that dies without replying used to
-	// leak the future until an external timeout.
-	defer s.Stop(fpid)
-	target.process.sendUser(envelope{message: msg, sender: fpid})
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-target.process.done:
-		// The target stopped; a reply may still be in flight through the
-		// future's mailbox, so grant a short grace before reporting the
-		// message dead-lettered.
-		grace := time.NewTimer(10 * time.Millisecond)
-		defer grace.Stop()
-		select {
-		case reply := <-ch:
-			return reply, nil
-		case <-grace.C:
-			return nil, ErrDeadLetter
-		case <-timer.C:
-			return nil, ErrTimeout
-		}
-	case <-timer.C:
-		return nil, ErrTimeout
-	}
 }
 
 // SendAfter schedules msg for delivery to target after delay.

@@ -139,16 +139,12 @@ func armorEncode(buf []byte, nbit int) (payload string, fillBits int) {
 	return string(out), fillBits
 }
 
-// armorDecode converts an NMEA payload back into packed bits. fillBits
-// must be the sentence's fill field (0..5); it is validated here too so
-// the decoder is safe on inputs that bypassed sentence parsing.
-func armorDecode(payload string, fillBits int) ([]byte, int, error) {
-	return armorDecodeInto(nil, payload, fillBits)
-}
-
-// armorDecodeInto is armorDecode writing into dst (grown as needed and
-// returned), so decode paths can reuse a pooled buffer instead of
-// growing a fresh one per sentence.
+// armorDecodeInto converts an NMEA payload back into packed bits,
+// writing into dst (grown as needed and returned), so decode paths can
+// reuse a pooled buffer instead of growing a fresh one per sentence.
+// fillBits must be the sentence's fill field (0..5); it is validated
+// here too so the decoder is safe on inputs that bypassed sentence
+// parsing.
 func armorDecodeInto(dst []byte, payload string, fillBits int) ([]byte, int, error) {
 	if fillBits < 0 || fillBits > 5 {
 		return dst, 0, errBadFillBits(fillBits)

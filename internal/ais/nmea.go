@@ -214,13 +214,6 @@ func (a *Assembler) evictStaleLocked(now time.Time) {
 	}
 }
 
-// Pending returns the number of incomplete multi-fragment messages.
-func (a *Assembler) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pending)
-}
-
 // payloadBufPool recycles the de-armored bit buffers of decodePayload:
 // the decoder copies everything it keeps (strings are materialised,
 // numeric fields are values), so the buffer can be returned to the pool
@@ -265,26 +258,4 @@ func MarshalClassBStatic(s StaticVoyage, channel string) ([]string, error) {
 		formatSentence(Sentence{Talker: "AIVDM", FragCount: 1, FragNum: 1,
 			Channel: channel, Payload: payloadB, FillBits: fillB}),
 	}, nil
-}
-
-// DecodeSentences is a convenience for the common single-source case:
-// it parses each line in order through a private assembler and returns
-// every completed message.
-func DecodeSentences(lines []string, receivedAt time.Time) ([]Message, error) {
-	asm := NewAssembler()
-	var out []Message
-	for _, line := range lines {
-		s, err := ParseSentence(line)
-		if err != nil {
-			return out, err
-		}
-		m, err := asm.Push(s, receivedAt)
-		if err != nil {
-			return out, err
-		}
-		if m != nil {
-			out = append(out, m)
-		}
-	}
-	return out, nil
 }

@@ -203,15 +203,6 @@ func (b *Broker) topic(name string) (*topic, error) {
 	return t, nil
 }
 
-// Partitions returns the partition count of a topic, or 0 when unknown.
-func (b *Broker) Partitions(name string) int {
-	t, err := b.topic(name)
-	if err != nil {
-		return 0
-	}
-	return len(t.partitions)
-}
-
 // Produce appends a record keyed by key; records with the same key land
 // on the same partition, preserving per-key order (per-vessel order for
 // MMSI-keyed AIS streams).
@@ -238,19 +229,6 @@ func partitionFor(key string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return int(h.Sum32() % uint32(n))
-}
-
-// EndOffsets returns the current end offset of every partition.
-func (b *Broker) EndOffsets(topicName string) ([]int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(t.partitions))
-	for i, p := range t.partitions {
-		out[i] = p.end()
-	}
-	return out, nil
 }
 
 // Truncate enforces a per-partition retention of keep records.
@@ -438,15 +416,6 @@ func (g *group) rebalanceLocked(numPartitions int) {
 		m.positions = make(map[int]int64)
 		m.mu.Unlock()
 	}
-}
-
-// Assignment returns the partitions currently assigned to the consumer.
-func (c *Consumer) Assignment() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, len(c.assigned))
-	copy(out, c.assigned)
-	return out
 }
 
 // Poll returns up to max records from the consumer's assigned

@@ -154,14 +154,6 @@ func New(p Policy) *Injector {
 	return &Injector{policy: p, rnd: rand.New(rand.NewSource(seed))}
 }
 
-// Policy returns the configured fault mix (zero for nil).
-func (in *Injector) Policy() Policy {
-	if in == nil {
-		return Policy{}
-	}
-	return in.policy
-}
-
 // Stats snapshots the fault counters (zero for nil).
 func (in *Injector) Stats() Stats {
 	if in == nil {
@@ -223,9 +215,6 @@ type KV struct {
 
 // WrapKV decorates a store.
 func WrapKV(s *kvstore.Store, in *Injector) *KV { return &KV{inner: s, in: in} }
-
-// Inner returns the wrapped store (the API's fault-free read side).
-func (k *KV) Inner() *kvstore.Store { return k.inner }
 
 // HSetMulti implements the batched hash write with faults.
 func (k *KV) HSetMulti(key string, fields map[string]string) (int, error) {
@@ -339,10 +328,6 @@ func (c *Consumer) Commit() {
 	}
 	c.inner.Commit()
 }
-
-// Close closes the inner consumer (never faulted: tests and shutdown
-// paths must always be able to leave the group).
-func (c *Consumer) Close() { c.inner.Close() }
 
 // Forecaster wraps a track forecaster: injected errors refuse the
 // forecast (ok=false, the degraded mode the vessel actor already

@@ -38,18 +38,11 @@ const KeyPrefix = "ckpt:"
 // Key returns the store key of a vessel's checkpoint hash.
 func Key(mmsi ais.MMSI) string { return KeyPrefix + mmsi.String() }
 
-// AppendKey appends the store key of a vessel's checkpoint hash to b.
-func AppendKey(b []byte, mmsi ais.MMSI) []byte {
-	b = append(b, KeyPrefix...)
-	return mmsi.Append(b)
-}
-
 // Store is the slice of the kvstore surface checkpoints need; both
 // *kvstore.Store and the chaos fault-injection wrapper satisfy it.
 type Store interface {
 	HSetMulti(key string, fields map[string]string) (int, error)
 	HGetAll(key string) (map[string]string, error)
-	Del(keys ...string) int
 }
 
 // Snapshot is one vessel's checkpointed state: the retained report
@@ -248,6 +241,3 @@ func Load(st Store, mmsi ais.MMSI) (Snapshot, bool, error) {
 	}
 	return s, true, nil
 }
-
-// Delete removes a vessel's checkpoint.
-func Delete(st Store, mmsi ais.MMSI) { st.Del(Key(mmsi)) }

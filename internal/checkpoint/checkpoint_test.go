@@ -123,9 +123,9 @@ func TestSaveLoadDeleteAgainstStore(t *testing.T) {
 	if len(out.Reports) != 12 {
 		t.Fatalf("overwrite kept %d reports", len(out.Reports))
 	}
-	Delete(st, 123)
+	st.Del(Key(123))
 	if _, ok, _ := Load(st, 123); ok {
-		t.Fatal("checkpoint survived Delete")
+		t.Fatal("Load found a deleted checkpoint")
 	}
 }
 
@@ -170,15 +170,6 @@ func TestEncoderFieldsMatchesEncode(t *testing.T) {
 		}
 		if len(out.Reports) != n || !out.LastSeen().Equal(in.LastSeen()) {
 			t.Fatalf("n=%d round trip: %d reports, last %v", n, len(out.Reports), out.LastSeen())
-		}
-	}
-}
-
-// TestAppendKeyMatchesKey pins the alloc-free key renderer to Key.
-func TestAppendKeyMatchesKey(t *testing.T) {
-	for _, m := range []ais.MMSI{0, 1, 239000001, 999999999, 1073741824} {
-		if got, want := string(AppendKey(nil, m)), Key(m); got != want {
-			t.Fatalf("AppendKey(%d) = %q, want %q", m, got, want)
 		}
 	}
 }

@@ -50,7 +50,6 @@ type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]time.Time // workerID -> last heartbeat
 	cur     Assignment
-	watches []func(Assignment)
 
 	rebalances int64 // atomic
 	stop       chan struct{}
@@ -88,9 +87,6 @@ func (c *Coordinator) Close() {
 	<-c.done
 }
 
-// Partitions returns the cluster's fixed partition count.
-func (c *Coordinator) Partitions() int { return c.opts.Partitions }
-
 // Rebalances returns how many epoch bumps membership changes caused.
 func (c *Coordinator) Rebalances() int64 { return atomic.LoadInt64(&c.rebalances) }
 
@@ -113,16 +109,6 @@ func (c *Coordinator) Assignment() Assignment {
 	return c.cur.Clone()
 }
 
-// Watch registers fn to run (on the coordinator's goroutine) after
-// every assignment change, with a copy of the new table. In-process
-// workers use it for prompt rebalance; remote workers rely on the
-// heartbeat piggyback instead.
-func (c *Coordinator) Watch(fn func(Assignment)) {
-	c.mu.Lock()
-	c.watches = append(c.watches, fn)
-	c.mu.Unlock()
-}
-
 // Join implements Membership.
 func (c *Coordinator) Join(workerID string) (Assignment, error) {
 	if workerID == "" {
@@ -130,10 +116,8 @@ func (c *Coordinator) Join(workerID string) (Assignment, error) {
 	}
 	c.mu.Lock()
 	c.workers[workerID] = time.Now()
-	a, changed := c.rebalanceLocked()
-	watches := c.watchesLocked(changed)
+	a := c.rebalanceLocked()
 	c.mu.Unlock()
-	notify(watches, a)
 	return a, nil
 }
 
@@ -146,18 +130,13 @@ func (c *Coordinator) Heartbeat(workerID string) (Assignment, error) {
 	c.mu.Lock()
 	_, known := c.workers[workerID]
 	c.workers[workerID] = time.Now()
-	var (
-		a       Assignment
-		changed bool
-	)
+	var a Assignment
 	if known {
 		a = c.cur.Clone()
 	} else {
-		a, changed = c.rebalanceLocked()
+		a = c.rebalanceLocked()
 	}
-	watches := c.watchesLocked(changed)
 	c.mu.Unlock()
-	notify(watches, a)
 	return a, nil
 }
 
@@ -169,28 +148,9 @@ func (c *Coordinator) Leave(workerID string) error {
 		return nil
 	}
 	delete(c.workers, workerID)
-	a, changed := c.rebalanceLocked()
-	watches := c.watchesLocked(changed)
+	c.rebalanceLocked()
 	c.mu.Unlock()
-	notify(watches, a)
 	return nil
-}
-
-// watchesLocked returns the callbacks to notify (nil when nothing
-// changed). Callers hold c.mu.
-func (c *Coordinator) watchesLocked(changed bool) []func(Assignment) {
-	if !changed {
-		return nil
-	}
-	out := make([]func(Assignment), len(c.watches))
-	copy(out, c.watches)
-	return out
-}
-
-func notify(watches []func(Assignment), a Assignment) {
-	for _, fn := range watches {
-		fn(a.Clone())
-	}
 }
 
 // sweeper expires workers whose heartbeats stopped.
@@ -217,16 +177,10 @@ func (c *Coordinator) expire(now time.Time) {
 			expired = true
 		}
 	}
-	var (
-		a       Assignment
-		changed bool
-	)
 	if expired {
-		a, changed = c.rebalanceLocked()
+		c.rebalanceLocked()
 	}
-	watches := c.watchesLocked(changed)
 	c.mu.Unlock()
-	notify(watches, a)
 }
 
 // rebalanceLocked recomputes the assignment with sticky semantics:
@@ -234,8 +188,8 @@ func (c *Coordinator) expire(now time.Time) {
 // to the least-loaded survivors, and overloaded workers shed their
 // excess when new workers join — so a membership change moves the
 // minimum number of partitions. Callers hold c.mu; the returned
-// snapshot is a clone and changed reports whether the epoch advanced.
-func (c *Coordinator) rebalanceLocked() (Assignment, bool) {
+// snapshot is a clone.
+func (c *Coordinator) rebalanceLocked() Assignment {
 	live := make([]string, 0, len(c.workers))
 	for w := range c.workers {
 		live = append(live, w)
@@ -283,11 +237,11 @@ func (c *Coordinator) rebalanceLocked() (Assignment, bool) {
 	}
 
 	if assignmentsEqual(c.cur.Workers, next) {
-		return c.cur.Clone(), false
+		return c.cur.Clone()
 	}
 	c.cur = Assignment{Epoch: c.cur.Epoch + 1, Workers: next}
 	atomic.AddInt64(&c.rebalances, 1)
-	return c.cur.Clone(), true
+	return c.cur.Clone()
 }
 
 func assignmentsEqual(a, b map[PartitionID]string) bool {

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Assignment is one epoch of the partition→worker table. Epochs are
 // strictly monotone: every membership change (join, leave, death)
@@ -23,18 +20,6 @@ func (a Assignment) Clone() Assignment {
 	for p, w := range a.Workers {
 		out.Workers[p] = w
 	}
-	return out
-}
-
-// Owned returns the sorted partitions assigned to worker.
-func (a Assignment) Owned(worker string) []PartitionID {
-	var out []PartitionID
-	for p, w := range a.Workers {
-		if w == worker {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -72,9 +57,6 @@ func NewTable(ring *Ring) *Table {
 	return t
 }
 
-// Ring exposes the underlying ring.
-func (t *Table) Ring() *Ring { return t.ring }
-
 // Update installs a newer assignment. Older or same-epoch assignments
 // are ignored (epoch fencing), and ok reports whether the table moved.
 func (t *Table) Update(a Assignment) bool {
@@ -109,31 +91,3 @@ func (t *Table) WorkerOf(part PartitionID) string {
 
 // Epoch implements Placement.
 func (t *Table) Epoch() uint64 { return t.cur.Load().epoch }
-
-// Assignment returns a copy of the installed assignment.
-func (t *Table) Assignment() Assignment {
-	snap := t.cur.Load()
-	a := Assignment{Epoch: snap.epoch, Workers: make(map[PartitionID]string)}
-	for p, w := range snap.owners {
-		if w != "" {
-			a.Workers[PartitionID(p)] = w
-		}
-	}
-	return a
-}
-
-// SingleNode returns a table in which one worker owns every partition
-// at epoch 1 — the in-memory placement of a single-process deployment.
-func SingleNode(worker string, partitions int) (*Table, error) {
-	ring, err := NewRing(partitions, 0)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable(ring)
-	a := Assignment{Epoch: 1, Workers: make(map[PartitionID]string, partitions)}
-	for p := 0; p < partitions; p++ {
-		a.Workers[PartitionID(p)] = worker
-	}
-	t.Update(a)
-	return t, nil
-}

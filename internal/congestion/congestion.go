@@ -155,14 +155,3 @@ func (m *Monitor) Snapshot(now time.Time) []Status {
 	})
 	return out
 }
-
-// Congested returns only the ports whose prediction exceeds capacity.
-func (m *Monitor) Congested(now time.Time) []Status {
-	var out []Status
-	for _, st := range m.Snapshot(now) {
-		if st.Congested() {
-			out = append(out, st)
-		}
-	}
-	return out
-}

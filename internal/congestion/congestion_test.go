@@ -114,16 +114,16 @@ func TestCongestionFlag(t *testing.T) {
 	m := NewMonitor([]Port{syros}, 0) // capacity 2
 	m.ObservePosition(1, geo.Destination(syros.Pos, 10, 500), t0)
 	m.ObservePosition(2, geo.Destination(syros.Pos, 80, 900), t0)
-	if got := m.Congested(t0); len(got) != 0 {
-		t.Fatalf("at capacity is not congested: %v", got)
+	if st := m.Snapshot(t0)[0]; st.Congested() {
+		t.Fatalf("at capacity is not congested: %+v", st)
 	}
 	m.ObserveForecast(approaching(3, syros, 15, 10))
-	got := m.Congested(t0)
-	if len(got) != 1 || got[0].Port.Name != "Syros" {
-		t.Fatalf("congestion not flagged: %v", got)
+	st := m.Snapshot(t0)[0]
+	if !st.Congested() || st.Port.Name != "Syros" {
+		t.Fatalf("congestion not flagged: %+v", st)
 	}
-	if got[0].PeakPredicted != 3 {
-		t.Fatalf("peak %d", got[0].PeakPredicted)
+	if st.PeakPredicted != 3 {
+		t.Fatalf("peak %d", st.PeakPredicted)
 	}
 }
 

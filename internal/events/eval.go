@@ -185,7 +185,7 @@ func EvaluateCollision(
 
 	// All-pairs detection (the pipeline shards this by hexgrid cell;
 	// the evaluation scores the algorithm itself).
-	detectedPairs := map[string]Event{}
+	detectedPairs := map[uint64]Event{}
 	for i := 0; i < len(forecasts); i++ {
 		for j := i + 1; j < len(forecasts); j++ {
 			if e, ok := CheckPair(forecasts[i], forecasts[j], cfg); ok {
@@ -198,9 +198,9 @@ func EvaluateCollision(
 		}
 	}
 
-	truthPairs := map[string]bool{}
+	truthPairs := map[uint64]bool{}
 	for _, e := range truth {
-		truthPairs[(Event{A: e.A, B: e.B}).PairKey()] = true
+		truthPairs[PairKey(e.A, e.B)] = true
 	}
 
 	ev := CollisionEvaluation{

@@ -6,7 +6,6 @@
 package events
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -40,14 +39,21 @@ type Event struct {
 	Meters float64
 }
 
-// PairKey returns an order-independent identifier for pairwise events.
-func (e Event) PairKey() string {
-	a, b := e.A, e.B
-	if a > b {
-		a, b = b, a
+// PairKey returns the order-independent key of the vessel pair (a, b):
+// the smaller MMSI in the high word, the larger in the low. MMSIs are
+// at most 9 decimal digits (< 2^30), so two fit one uint64. It is the
+// one pair identity the detectors, the pipeline's pair cooldown and the
+// evaluation share.
+func PairKey(a, b ais.MMSI) uint64 {
+	x, y := uint64(uint32(a)), uint64(uint32(b))
+	if x > y {
+		x, y = y, x
 	}
-	return fmt.Sprintf("%d/%d", a, b)
+	return x<<32 | y
 }
+
+// PairKey returns the key of a pairwise event's vessel pair.
+func (e Event) PairKey() uint64 { return PairKey(e.A, e.B) }
 
 // Log is a bounded, concurrency-safe event log, the in-memory
 // counterpart of the event list the UI presents (Figure 4f). Once full

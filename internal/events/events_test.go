@@ -105,7 +105,7 @@ func TestDetectorPairwiseAndExpiry(t *testing.T) {
 		t.Fatalf("expected one collision, got %d", len(evs))
 	}
 	if evs[0].PairKey() != (Event{A: 1, B: 2}).PairKey() {
-		t.Fatalf("wrong pair %s", evs[0].PairKey())
+		t.Fatalf("wrong pair %#x", evs[0].PairKey())
 	}
 	if d.Size() != 2 {
 		t.Fatalf("detector holds %d forecasts", d.Size())
@@ -200,22 +200,6 @@ func TestSwitchOffNotFiredForSlowCadence(t *testing.T) {
 	at = at.Add(31 * time.Minute)
 	if _, fired := s.Update(9, pos, at); fired {
 		t.Fatal("31-minute gap at 6-minute cadence must not fire (factor 20)")
-	}
-}
-
-func TestSwitchOffSilentPolling(t *testing.T) {
-	s := NewSwitchOffDetector(DefaultSwitchOffConfig())
-	pos := geo.Point{Lat: 37.5, Lon: 24.5}
-	at := t0
-	for i := 0; i < 5; i++ {
-		s.Update(9, pos, at)
-		at = at.Add(30 * time.Second)
-	}
-	if s.Silent(at.Add(5 * time.Minute)) {
-		t.Fatal("5-minute silence below MinSilence must not flag")
-	}
-	if !s.Silent(at.Add(2 * time.Hour)) {
-		t.Fatal("2-hour silence must flag on polling")
 	}
 }
 

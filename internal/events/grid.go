@@ -3,7 +3,6 @@ package events
 import (
 	"math"
 
-	"seatwin/internal/ais"
 	"seatwin/internal/geo"
 )
 
@@ -24,18 +23,6 @@ const perLatMeters = geo.EarthRadiusMeters * math.Pi / 180
 // computation (which is what correctness rests on) widens the probe
 // for anything outside that band.
 const latSlackDeg = 1.0
-
-// packPair returns an order-independent packed key for a vessel pair.
-// MMSIs are at most 9 decimal digits (< 2^30), so two fit one uint64 —
-// the allocation-free replacement for Event.PairKey's fmt.Sprintf on
-// the detectors' hot paths.
-func packPair(a, b ais.MMSI) uint64 {
-	x, y := uint64(uint32(a)), uint64(uint32(b))
-	if x > y {
-		x, y = y, x
-	}
-	return x<<32 | y
-}
 
 // binKey packs signed 32-bit micro-grid bin coordinates into one map
 // key.

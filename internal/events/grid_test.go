@@ -370,7 +370,7 @@ func TestGridProximityCooldownBoundedUnderChurn(t *testing.T) {
 	}
 	// Live cooldown entries: only pairs within one Cooldown plus one
 	// expiry bucket (~38 s) of the end. The oracle would hold all 5000.
-	if cs := g.CooldownSize(); cs > 200 {
+	if cs := len(g.cooldown); cs > 200 {
 		t.Fatalf("cooldown map not bounded under churn: %d live entries", cs)
 	}
 	// Tracked vessels: only those within the 2×TimeWindow staleness

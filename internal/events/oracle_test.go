@@ -79,7 +79,7 @@ func (d *Detector) Size() int { return len(d.forecasts) }
 type ProximityDetector struct {
 	cfg      ProximityConfig
 	last     map[ais.MMSI]ForecastPoint
-	cooldown map[string]time.Time // pair key -> last emission
+	cooldown map[uint64]time.Time // pair key -> last emission
 }
 
 // NewProximityDetector creates an empty detector.
@@ -90,7 +90,7 @@ func NewProximityDetector(cfg ProximityConfig) *ProximityDetector {
 	return &ProximityDetector{
 		cfg:      cfg,
 		last:     make(map[ais.MMSI]ForecastPoint),
-		cooldown: make(map[string]time.Time),
+		cooldown: make(map[uint64]time.Time),
 	}
 }
 

@@ -27,12 +27,12 @@ func TestCellTracerSortedDedupedTraceAndRing(t *testing.T) {
 	want := map[uint64]bool{}
 	crossed := 0
 	for i := 1; i < len(f.Points); i++ {
-		for _, c := range hexgrid.TraceLine(f.Points[i-1].Pos, f.Points[i].Pos, ownerTestResolution) {
+		for _, c := range hexgrid.AppendTraceLine(nil, f.Points[i-1].Pos, f.Points[i].Pos, ownerTestResolution) {
 			crossed++
 			if want[uint64(c)] {
 				continue
 			}
-			for _, n := range c.GridDisk(1) {
+			for _, n := range c.AppendGridDisk(nil, 1) {
 				want[uint64(n)] = true
 			}
 		}

@@ -109,13 +109,3 @@ func (s *SwitchOffDetector) Update(mmsi ais.MMSI, pos geo.Point, at time.Time) (
 	s.reports++
 	return fired, ok
 }
-
-// Silent reports whether the vessel has been quiet long enough to flag
-// right now (for polling-style checks without a new report).
-func (s *SwitchOffDetector) Silent(now time.Time) bool {
-	if s.reports < 3 || s.cadence == 0 {
-		return false
-	}
-	gap := now.Sub(s.lastSeen).Seconds()
-	return gap > s.cfg.MinSilence.Seconds() && gap > s.cadence*s.cfg.CadenceFactor
-}

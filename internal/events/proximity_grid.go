@@ -175,7 +175,7 @@ func (g *GridProximityDetector) Update(mmsi ais.MMSI, pos geo.Point, at time.Tim
 				if d > g.cfg.ThresholdMeters {
 					continue
 				}
-				key := packPair(mmsi, s.mmsi)
+				key := PairKey(mmsi, s.mmsi)
 				if until, ok := g.cooldown[key]; ok && at.Before(until) {
 					continue
 				}
@@ -342,11 +342,6 @@ func (g *GridProximityDetector) removeFromBin(si int32) {
 
 // Size returns the number of vessels tracked.
 func (g *GridProximityDetector) Size() int { return len(g.index) }
-
-// CooldownSize returns the number of live cooldown entries (bounded by
-// the time-bucketed expiry; the regression test for the oracle's leak
-// asserts on this).
-func (g *GridProximityDetector) CooldownSize() int { return len(g.cooldown) }
 
 // Stats returns the cumulative hot-path counters.
 func (g *GridProximityDetector) Stats() DetectorStats { return g.stats }

@@ -13,8 +13,8 @@
 // or disconnect), so one slow client can never stall the publisher: the
 // fan-out path is a constant-time, lock-bounded push per subscriber.
 //
-// AttachStream feeds the hub from the actor system's EventStream: the
-// writer actors publish every state and event there.
+// The pipeline's writer actors publish every state and event to the hub
+// directly.
 package feed
 
 import (
@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seatwin/internal/actor"
 	"seatwin/internal/ais"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
@@ -118,9 +117,6 @@ func NewHub(opt Options) *Hub {
 	}
 }
 
-// RegionResolution returns the hexgrid resolution of the region topics.
-func (h *Hub) RegionResolution() int { return h.regionRes }
-
 // RegionTopic returns the region/<cell> topic covering a position, at
 // the hub's resolution.
 func (h *Hub) RegionTopic(p geo.Point) string {
@@ -189,11 +185,11 @@ func EventClass(k events.Kind) string {
 // and the region topic of its position. The frame is encoded once; all
 // subscribers share the bytes.
 func (h *Hub) PublishState(s State) {
-	cell := hexgrid.LatLonToCell(geo.Point{Lat: s.Lat, Lon: s.Lon}, h.regionRes)
+	cell := hexgrid.LatLonToCell(geo.Point{Lat: s.Lat, Lon: s.Lon}, h.regionRes).String()
 	doc := stateJSON{
 		Type: "state", MMSI: s.MMSI.String(), Name: s.Name,
 		Lat: s.Lat, Lon: s.Lon, SOG: s.SOG, COG: s.COG,
-		Status: s.Status, Cell: cell.String(),
+		Status: s.Status, Cell: cell,
 		At: s.TS.UTC().Format(time.RFC3339),
 	}
 	for _, p := range s.Forecast {
@@ -205,7 +201,7 @@ func (h *Hub) PublishState(s State) {
 	}
 	h.publish(frame{
 		seq: h.seq.Add(1), typ: "state", key: "s/" + doc.MMSI, data: data,
-	}, TopicVesselPrefix+doc.MMSI, TopicRegionPrefix+cell.String())
+	}, TopicVesselPrefix+doc.MMSI, TopicRegionPrefix+cell)
 }
 
 // PublishEvent fans one maritime event out to its class topic and the
@@ -373,17 +369,5 @@ func (h *Hub) Snapshot() Stats {
 		Disconnected: h.discon.Load(),
 		FanoutP99:    lat.P99,
 		FanoutMean:   lat.Mean,
-	}
-}
-
-// AttachStream subscribes the hub to an actor EventStream carrying
-// feed.State and events.Event values (the embedded wiring: the
-// pipeline's writer actors publish there). It returns a detach func.
-func (h *Hub) AttachStream(es *actor.EventStream) (detach func()) {
-	unsubState := actor.SubscribeType[State](es, h.PublishState)
-	unsubEvent := actor.SubscribeType[events.Event](es, h.PublishEvent)
-	return func() {
-		unsubState()
-		unsubEvent()
 	}
 }

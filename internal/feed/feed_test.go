@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"seatwin/internal/actor"
 	"seatwin/internal/ais"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
@@ -254,7 +253,7 @@ func TestDisconnectPolicyEvictsSlowConsumer(t *testing.T) {
 func TestSlowConsumerNeverBlocksPublish(t *testing.T) {
 	h := NewHub(Options{})
 	pos := geo.Point{Lat: 37.5, Lon: 24.5}
-	topics := []string{TopicRegionPrefix + hexgrid.LatLonToCell(pos, h.RegionResolution()).String()}
+	topics := []string{TopicRegionPrefix + hexgrid.LatLonToCell(pos, h.regionRes).String()}
 
 	// One subscriber per policy, none of which ever calls Recv.
 	for _, pol := range []Policy{PolicyDropOldest, PolicyConflate, PolicyDisconnect} {
@@ -357,35 +356,6 @@ func TestResolveValidation(t *testing.T) {
 		if strings.HasPrefix(tp, TopicRegionPrefix) && !strings.HasPrefix(tp, TopicRegionPrefix+"hex:"+"7") {
 			t.Fatalf("region topic %q not at hub resolution", tp)
 		}
-	}
-}
-
-// TestAttachStream wires a hub to an actor EventStream the way the
-// pipeline's writer actors feed it embedded.
-func TestAttachStream(t *testing.T) {
-	h := NewHub(Options{})
-	es := actor.NewEventStream()
-	detach := h.AttachStream(es)
-	sub, err := h.SubscribeRequest(Request{Vessels: []string{"237000001"}, Events: []string{"proximity"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	es.Publish(testState(237000001, geo.Point{Lat: 37.5, Lon: 24.5}))
-	es.Publish(testEvent(events.KindProximity, 5, 6, geo.Point{Lat: 37.5, Lon: 24.5}))
-	es.Publish("unrelated system event") // ignored by type filter
-
-	if d := recvOne(t, sub); d.Type != "state" {
-		t.Fatalf("first frame %q", d.Type)
-	}
-	if d := recvOne(t, sub); d.Type != "event" {
-		t.Fatalf("second frame %q", d.Type)
-	}
-	detach()
-	es.Publish(testState(237000001, geo.Point{Lat: 37.5, Lon: 24.5}))
-	if got := h.Snapshot().Published; got != 2 {
-		t.Fatalf("published %d frames, want 2 (post-detach publish leaked)", got)
 	}
 }
 

@@ -259,18 +259,6 @@ func GenerateProximity(cfg ProximityConfig) *ProximityDataset {
 	return d
 }
 
-// resampleGrid interpolates a raw track onto the fixed grid
-// [start, end] with the given step.
-func resampleGrid(raw []TrackPoint, start, end time.Time, step time.Duration) []TrackPoint {
-	var out []TrackPoint
-	for t := start; !t.After(end); t = t.Add(step) {
-		if tp, ok := sampleTrack(raw, t); ok {
-			out = append(out, tp)
-		}
-	}
-	return out
-}
-
 // sampleTrack linearly interpolates the dense track at time t.
 func sampleTrack(pts []TrackPoint, t time.Time) (TrackPoint, bool) {
 	if len(pts) == 0 || t.Before(pts[0].At) || t.After(pts[len(pts)-1].At) {

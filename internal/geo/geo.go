@@ -180,19 +180,6 @@ func CrossTrack(p, a, b Point) float64 {
 	return math.Asin(clamp(math.Sin(d13)*math.Sin(th13-th12), -1, 1)) * EarthRadiusMeters
 }
 
-// AlongTrack returns the distance in meters from a to the closest point
-// on the path a->b to p, measured along the path.
-func AlongTrack(p, a, b Point) float64 {
-	d13 := Haversine(a, p) / EarthRadiusMeters
-	xt := CrossTrack(p, a, b) / EarthRadiusMeters
-	cosD13 := math.Cos(d13)
-	cosXT := math.Cos(xt)
-	if cosXT == 0 {
-		return 0
-	}
-	return math.Acos(clamp(cosD13/cosXT, -1, 1)) * EarthRadiusMeters
-}
-
 // Displacement returns the (dLat, dLon) in degrees from a to b with the
 // longitude difference wrapped across the antimeridian. It is the feature
 // representation the S-VRF model consumes.
@@ -240,11 +227,6 @@ func (b BBox) Contains(p Point) bool {
 		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
 }
 
-// Center returns the box centroid.
-func (b BBox) Center() Point {
-	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
-}
-
 // Expand grows the box by the given margin in degrees on every side.
 func (b BBox) Expand(deg float64) BBox {
 	return BBox{
@@ -272,13 +254,3 @@ var EuropeanCoverage = BBox{MinLat: 24.0, MinLon: -41.99983, MaxLat: 78.9862, Ma
 // AegeanSea is the region of the synthetic vessel-proximity dataset used
 // by the collision-forecasting evaluation (§6.2).
 var AegeanSea = BBox{MinLat: 35.0, MinLon: 22.5, MaxLat: 41.0, MaxLon: 28.3}
-
-// CourseDiff returns the smallest absolute difference between two courses
-// in degrees, in [0, 180].
-func CourseDiff(a, b float64) float64 {
-	d := math.Abs(math.Mod(a-b, 360))
-	if d > 180 {
-		d = 360 - d
-	}
-	return d
-}

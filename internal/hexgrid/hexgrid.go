@@ -9,8 +9,8 @@
 // thresholds and traffic-flow counts must mean roughly the same thing in
 // the Aegean and in the North Sea. Exact H3 icosahedral geometry is not
 // reproduced (see DESIGN.md); the operations the pipeline needs —
-// point-to-cell, cell centroid, k-ring neighbourhoods, boundaries and a
-// parent/child hierarchy — are all provided with the same semantics.
+// point-to-cell, cell centroid, k-ring neighbourhoods, disk coverings
+// and line traces — are provided with the same semantics.
 //
 // A Cell packs (resolution, q, r) into a uint64 so it can be used
 // directly as a map key and as an actor-registry name.
@@ -18,11 +18,11 @@
 // Known distortions, both documented consequences of the projection:
 // the sinusoidal plane shears meridians away from the central one, so a
 // fixed geographic radius can span more hexagon steps at high latitude
-// and longitude (use DiskCovering, which compensates, when coverage of a
-// geographic radius must be guaranteed), and cells touching the
-// antimeridian seam are not adjacent to their geographic neighbours on
-// the other side. The paper's evaluation regions (European coverage,
-// Aegean) sit well away from both extremes.
+// and longitude (use AppendDiskCovering, which compensates, when
+// coverage of a geographic radius must be guaranteed), and cells
+// touching the antimeridian seam are not adjacent to their geographic
+// neighbours on the other side. The paper's evaluation regions
+// (European coverage, Aegean) sit well away from both extremes.
 package hexgrid
 
 import (
@@ -80,13 +80,26 @@ func (c Cell) axial() (q, r int) {
 	return q, r
 }
 
-// String renders the cell as res:q:r for logging and actor names.
+// String renders the cell as hex:<res>:<q>:<r> for logging, actor
+// names and topics.
 func (c Cell) String() string {
+	var buf [32]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends the String form of the cell to b and returns the
+// extended slice.
+func (c Cell) Append(b []byte) []byte {
 	if !c.Valid() {
-		return "hex:invalid"
+		return append(b, "hex:invalid"...)
 	}
 	q, r := c.axial()
-	return fmt.Sprintf("hex:%d:%d:%d", c.Resolution(), q, r)
+	b = append(b, "hex:"...)
+	b = strconv.AppendInt(b, int64(c.Resolution()), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(q), 10)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(r), 10)
 }
 
 // ParseCell parses the "hex:<res>:<q>:<r>" form produced by
@@ -128,17 +141,6 @@ func Radius(res int) float64 {
 func EdgeLengthMeters(res int) float64 {
 	perLat, _ := geo.MetersPerDegree(0)
 	return Radius(res) * perLat
-}
-
-// ResolutionForEdge returns the coarsest resolution whose cell edge is at
-// most the requested length in meters, clamped to the supported range.
-func ResolutionForEdge(maxEdgeMeters float64) int {
-	for res := 0; res <= MaxResolution; res++ {
-		if EdgeLengthMeters(res) <= maxEdgeMeters {
-			return res
-		}
-	}
-	return MaxResolution
 }
 
 // project maps a geographic point onto the sinusoidal plane (x easting,
@@ -223,58 +225,9 @@ func (c Cell) Center() geo.Point {
 	return unproject(x, y)
 }
 
-// Boundary returns the six corners of the cell in geographic
-// coordinates, counter-clockwise.
-func (c Cell) Boundary() []geo.Point {
-	if !c.Valid() {
-		return nil
-	}
-	res := c.Resolution()
-	q, r := c.axial()
-	cx, cy := axialToPlane(res, q, r)
-	rad := Radius(res)
-	pts := make([]geo.Point, 0, 6)
-	for i := 0; i < 6; i++ {
-		// pointy-top corners at 30 + 60*i degrees
-		ang := (math.Pi / 180) * (60*float64(i) + 30)
-		pts = append(pts, unproject(cx+rad*math.Cos(ang), cy+rad*math.Sin(ang)))
-	}
-	return pts
-}
-
-// axialDirections are the six neighbour offsets in axial coordinates.
-var axialDirections = [6][2]int{
-	{1, 0}, {1, -1}, {0, -1}, {-1, 0}, {-1, 1}, {0, 1},
-}
-
-// Neighbors returns the six cells adjacent to c.
-func (c Cell) Neighbors() []Cell {
-	if !c.Valid() {
-		return nil
-	}
-	res := c.Resolution()
-	q, r := c.axial()
-	out := make([]Cell, 0, 6)
-	for _, d := range axialDirections {
-		if n := makeCell(res, q+d[0], r+d[1]); n != InvalidCell {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// GridDisk returns all cells within k hexagon steps of c, including c
-// itself: 1 + 3k(k+1) cells (H3's kRing).
-func (c Cell) GridDisk(k int) []Cell {
-	if !c.Valid() || k < 0 {
-		return nil
-	}
-	return c.AppendGridDisk(make([]Cell, 0, 1+3*k*(k+1)), k)
-}
-
-// AppendGridDisk appends the k-disk of c to dst and returns the
-// extended slice — the allocation-free variant hot paths use with a
-// reused scratch slice.
+// AppendGridDisk appends all cells within k hexagon steps of c,
+// including c itself — 1 + 3k(k+1) cells (H3's kRing) — to dst and
+// returns the extended slice.
 func (c Cell) AppendGridDisk(dst []Cell, k int) []Cell {
 	if !c.Valid() || k < 0 {
 		return dst
@@ -293,127 +246,13 @@ func (c Cell) AppendGridDisk(dst []Cell, k int) []Cell {
 	return dst
 }
 
-// GridRing returns the cells exactly k steps from c (6k cells for k>0).
-func (c Cell) GridRing(k int) []Cell {
-	if !c.Valid() || k < 0 {
-		return nil
-	}
-	if k == 0 {
-		return []Cell{c}
-	}
-	res := c.Resolution()
-	q, r := c.axial()
-	// Walk to the ring start then traverse its six sides.
-	q += axialDirections[4][0] * k
-	r += axialDirections[4][1] * k
-	out := make([]Cell, 0, 6*k)
-	for side := 0; side < 6; side++ {
-		for step := 0; step < k; step++ {
-			if cell := makeCell(res, q, r); cell != InvalidCell {
-				out = append(out, cell)
-			}
-			q += axialDirections[side][0]
-			r += axialDirections[side][1]
-		}
-	}
-	return out
-}
-
-// GridDistance returns the hex-step distance between two cells of the
-// same resolution, or -1 when the cells are incomparable.
-func GridDistance(a, b Cell) int {
-	if !a.Valid() || !b.Valid() || a.Resolution() != b.Resolution() {
-		return -1
-	}
-	aq, ar := a.axial()
-	bq, br := b.axial()
-	dq := aq - bq
-	dr := ar - br
-	ds := -dq - dr
-	return (abs(dq) + abs(dr) + abs(ds)) / 2
-}
-
-// Parent returns the cell at the next-coarser resolution whose centroid
-// region contains this cell's centroid. Like H3's aperture-7 hierarchy,
-// containment is approximate at cell borders.
-func (c Cell) Parent() Cell {
-	res := c.Resolution()
-	if res <= 0 {
-		return InvalidCell
-	}
-	return LatLonToCell(c.Center(), res-1)
-}
-
-// ParentAt returns the ancestor of c at the given coarser resolution.
-func (c Cell) ParentAt(res int) Cell {
-	cur := c
-	for cur.Valid() && cur.Resolution() > res {
-		cur = cur.Parent()
-	}
-	if !cur.Valid() || cur.Resolution() != res {
-		return InvalidCell
-	}
-	return cur
-}
-
-// Children returns the cells at the next-finer resolution whose
-// centroids fall inside this cell (approximately 4 for the aperture-4
-// hierarchy).
-func (c Cell) Children() []Cell {
-	res := c.Resolution()
-	if !c.Valid() || res >= MaxResolution {
-		return nil
-	}
-	// Candidate fine cells within two steps of the projected center.
-	center := LatLonToCell(c.Center(), res+1)
-	var out []Cell
-	for _, cand := range center.GridDisk(2) {
-		if cand.Parent() == c {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-// Cover returns the set of cells at the given resolution whose centers
-// fall inside the bounding box, useful for rasterising a region.
-func Cover(b geo.BBox, res int) []Cell {
-	if res < 0 || res > MaxResolution {
-		return nil
-	}
-	step := Radius(res) // sample at sub-cell spacing to not miss rows
-	seen := make(map[Cell]struct{})
-	var out []Cell
-	for lat := b.MinLat; lat <= b.MaxLat+step; lat += step {
-		for lon := b.MinLon; lon <= b.MaxLon+step; lon += step {
-			p := geo.Point{Lat: math.Min(lat, b.MaxLat), Lon: math.Min(lon, b.MaxLon)}
-			c := LatLonToCell(p, res)
-			if c == InvalidCell {
-				continue
-			}
-			if _, ok := seen[c]; !ok {
-				if b.Contains(c.Center()) {
-					seen[c] = struct{}{}
-					out = append(out, c)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// DiskCovering returns the set of cells at the given resolution that is
-// guaranteed to contain every point within radiusMeters of p, taking the
-// projection's local shear into account. The proximity and collision
-// actors use it to decide which cell actors a position or forecast must
-// be shared with so that no geographically close pair is split across
-// unexamined cells.
-func DiskCovering(p geo.Point, res int, radiusMeters float64) []Cell {
-	return AppendDiskCovering(nil, p, res, radiusMeters)
-}
-
-// AppendDiskCovering is DiskCovering appending into dst — the
-// allocation-free variant for per-report fan-out with reused scratch.
+// AppendDiskCovering appends to dst the set of cells at the given
+// resolution that is guaranteed to contain every point within
+// radiusMeters of p, taking the projection's local shear into account,
+// and returns the extended slice. The proximity and collision actors use
+// it to decide which cell actors a position or forecast must be shared
+// with so that no geographically close pair is split across unexamined
+// cells.
 func AppendDiskCovering(dst []Cell, p geo.Point, res int, radiusMeters float64) []Cell {
 	c := LatLonToCell(p, res)
 	if c == InvalidCell {
@@ -431,19 +270,14 @@ func AppendDiskCovering(dst []Cell, p geo.Point, res int, radiusMeters float64) 
 	return c.AppendGridDisk(dst, k)
 }
 
-// TraceLine returns the distinct cells visited along the segment from a
-// to b (inclusive of both endpoints' cells), in travel order. It
-// samples the segment at half-edge spacing, which cannot skip a cell of
-// the given resolution. Segments crossing the antimeridian seam return
-// only the cells on each side (documented projection limitation).
-func TraceLine(a, b geo.Point, res int) []Cell {
-	return AppendTraceLine(nil, a, b, res)
-}
-
-// AppendTraceLine is TraceLine appending into dst — the allocation-free
-// variant for tracing many forecast segments through one reused scratch
-// slice. The "distinct, in travel order" contract applies to the cells
-// appended by this call, not across the whole of dst.
+// AppendTraceLine appends to dst the distinct cells visited along the
+// segment from a to b (inclusive of both endpoints' cells), in travel
+// order, and returns the extended slice. It samples the segment at
+// half-edge spacing, which cannot skip a cell of the given resolution.
+// Segments crossing the antimeridian seam return only the cells on each
+// side (documented projection limitation). The "distinct, in travel
+// order" contract applies to the cells appended by this call, not
+// across the whole of dst.
 func AppendTraceLine(dst []Cell, a, b geo.Point, res int) []Cell {
 	ca := LatLonToCell(a, res)
 	cb := LatLonToCell(b, res)
@@ -475,13 +309,6 @@ func AppendTraceLine(dst []Cell, a, b geo.Point, res int) []Cell {
 		dst = append(dst, cb)
 	}
 	return dst
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func max(a, b int) int {

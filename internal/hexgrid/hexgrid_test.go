@@ -1,6 +1,7 @@
 package hexgrid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,7 +21,7 @@ func TestLatLonToCellRoundTrip(t *testing.T) {
 	// A point's cell center must be within one sheared circumradius of
 	// the point. The sinusoidal projection's shear grows with
 	// |lon*sin(lat)|; the bound below follows the package's documented
-	// distortion model (see DiskCovering).
+	// distortion model (see AppendDiskCovering).
 	rng := rand.New(rand.NewSource(7))
 	for res := 0; res <= MaxResolution; res += 3 {
 		for i := 0; i < 200; i++ {
@@ -65,7 +66,7 @@ func TestCellStability(t *testing.T) {
 
 func TestNeighborsCount(t *testing.T) {
 	c := LatLonToCell(geo.Point{Lat: 37.9, Lon: 23.6}, 8)
-	n := c.Neighbors()
+	n := neighbors(c)
 	if len(n) != 6 {
 		t.Fatalf("expected 6 neighbors, got %d", len(n))
 	}
@@ -75,8 +76,8 @@ func TestNeighborsCount(t *testing.T) {
 			t.Errorf("duplicate or self neighbor %v", nb)
 		}
 		seen[nb] = true
-		if GridDistance(c, nb) != 1 {
-			t.Errorf("neighbor %v at grid distance %d", nb, GridDistance(c, nb))
+		if gridDistance(c, nb) != 1 {
+			t.Errorf("neighbor %v at grid distance %d", nb, gridDistance(c, nb))
 		}
 	}
 }
@@ -85,9 +86,9 @@ func TestNeighborSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
 		c := LatLonToCell(randomSeaPoint(rng), 7)
-		for _, nb := range c.Neighbors() {
+		for _, nb := range neighbors(c) {
 			found := false
-			for _, back := range nb.Neighbors() {
+			for _, back := range neighbors(nb) {
 				if back == c {
 					found = true
 					break
@@ -104,7 +105,7 @@ func TestGridDiskSize(t *testing.T) {
 	c := LatLonToCell(geo.Point{Lat: 52, Lon: 4}, 9)
 	for k := 0; k <= 5; k++ {
 		want := 1 + 3*k*(k+1)
-		got := len(c.GridDisk(k))
+		got := len(c.AppendGridDisk(nil, k))
 		if got != want {
 			t.Errorf("k=%d: disk size %d, want %d", k, got, want)
 		}
@@ -113,7 +114,7 @@ func TestGridDiskSize(t *testing.T) {
 
 func TestGridDiskContainsCenterAndNeighbors(t *testing.T) {
 	c := LatLonToCell(geo.Point{Lat: 36, Lon: 25}, 10)
-	disk := c.GridDisk(1)
+	disk := c.AppendGridDisk(nil, 1)
 	members := make(map[Cell]bool, len(disk))
 	for _, d := range disk {
 		members[d] = true
@@ -121,7 +122,7 @@ func TestGridDiskContainsCenterAndNeighbors(t *testing.T) {
 	if !members[c] {
 		t.Error("disk must contain the center cell")
 	}
-	for _, nb := range c.Neighbors() {
+	for _, nb := range neighbors(c) {
 		if !members[nb] {
 			t.Errorf("disk k=1 missing neighbor %v", nb)
 		}
@@ -131,17 +132,17 @@ func TestGridDiskContainsCenterAndNeighbors(t *testing.T) {
 func TestGridRing(t *testing.T) {
 	c := LatLonToCell(geo.Point{Lat: 45, Lon: -30}, 8)
 	for k := 1; k <= 4; k++ {
-		ring := c.GridRing(k)
+		ring := gridRing(c, k)
 		if len(ring) != 6*k {
 			t.Errorf("k=%d: ring size %d, want %d", k, len(ring), 6*k)
 		}
 		for _, cell := range ring {
-			if d := GridDistance(c, cell); d != k {
+			if d := gridDistance(c, cell); d != k {
 				t.Errorf("k=%d: ring member at distance %d", k, d)
 			}
 		}
 	}
-	if r0 := c.GridRing(0); len(r0) != 1 || r0[0] != c {
+	if r0 := gridRing(c, 0); len(r0) != 1 || r0[0] != c {
 		t.Error("ring 0 must be the cell itself")
 	}
 }
@@ -149,12 +150,12 @@ func TestGridRing(t *testing.T) {
 func TestGridDiskEqualsUnionOfRings(t *testing.T) {
 	c := LatLonToCell(geo.Point{Lat: 10, Lon: 10}, 6)
 	disk := make(map[Cell]bool)
-	for _, d := range c.GridDisk(3) {
+	for _, d := range c.AppendGridDisk(nil, 3) {
 		disk[d] = true
 	}
 	count := 0
 	for k := 0; k <= 3; k++ {
-		for _, cell := range c.GridRing(k) {
+		for _, cell := range gridRing(c, k) {
 			if !disk[cell] {
 				t.Fatalf("ring %d member %v not in disk", k, cell)
 			}
@@ -173,57 +174,15 @@ func TestGridDistanceTriangleInequality(t *testing.T) {
 		a := LatLonToCell(box.Sample(rng.Float64(), rng.Float64()), 7)
 		b := LatLonToCell(box.Sample(rng.Float64(), rng.Float64()), 7)
 		c := LatLonToCell(box.Sample(rng.Float64(), rng.Float64()), 7)
-		if GridDistance(a, c) > GridDistance(a, b)+GridDistance(b, c) {
+		if gridDistance(a, c) > gridDistance(a, b)+gridDistance(b, c) {
 			t.Fatalf("triangle inequality violated for %v %v %v", a, b, c)
 		}
 	}
 }
 
-func TestParentChildHierarchy(t *testing.T) {
-	p := geo.Point{Lat: 37.5, Lon: 24.0}
-	c := LatLonToCell(p, 10)
-	parent := c.Parent()
-	if parent.Resolution() != 9 {
-		t.Fatalf("parent resolution %d", parent.Resolution())
-	}
-	// The parent's center must be near the child's center (within the
-	// parent circumradius).
-	d := geo.Haversine(c.Center(), parent.Center())
-	if d > Radius(9)*111320*1.05 {
-		t.Errorf("parent center too far: %.0f m", d)
-	}
-	// Children of the parent must include cells whose Parent is parent.
-	kids := parent.Children()
-	if len(kids) == 0 {
-		t.Fatal("no children")
-	}
-	for _, kid := range kids {
-		if kid.Parent() != parent {
-			t.Errorf("child %v does not point back to parent", kid)
-		}
-		if kid.Resolution() != 10 {
-			t.Errorf("child resolution %d", kid.Resolution())
-		}
-	}
-}
-
-func TestParentAt(t *testing.T) {
-	c := LatLonToCell(geo.Point{Lat: 51.9, Lon: 4.4}, 12)
-	anc := c.ParentAt(5)
-	if anc.Resolution() != 5 {
-		t.Fatalf("ancestor resolution %d", anc.Resolution())
-	}
-	if d := geo.Haversine(c.Center(), anc.Center()); d > Radius(5)*111320*1.1 {
-		t.Errorf("ancestor too far from descendant: %.0f m", d)
-	}
-	if got := c.ParentAt(13); got != InvalidCell {
-		t.Error("ParentAt finer than cell must be invalid")
-	}
-}
-
 func TestBoundaryGeometry(t *testing.T) {
 	c := LatLonToCell(geo.Point{Lat: 37, Lon: 25}, 8)
-	b := c.Boundary()
+	b := boundary(c)
 	if len(b) != 6 {
 		t.Fatalf("expected 6 corners, got %d", len(b))
 	}
@@ -245,7 +204,7 @@ func TestBoundaryNearCentralMeridianIsRegular(t *testing.T) {
 	c := LatLonToCell(geo.Point{Lat: 20, Lon: 0.01}, 8)
 	center := c.Center()
 	want := Radius(8) * 111320.0
-	for _, corner := range c.Boundary() {
+	for _, corner := range boundary(c) {
 		d := geo.Haversine(center, corner)
 		if math.Abs(d-want)/want > 0.02 {
 			t.Errorf("corner at %.0f m from center, want ~%.0f m", d, want)
@@ -262,7 +221,7 @@ func TestDiskCoveringContainsAllNearbyPoints(t *testing.T) {
 	radius := EdgeLengthMeters(res) * 1.5
 	for i := 0; i < 200; i++ {
 		p := geo.Point{Lat: rng.Float64()*150 - 75, Lon: rng.Float64()*340 - 170}
-		disk := DiskCovering(p, res, radius)
+		disk := AppendDiskCovering(nil, p, res, radius)
 		members := make(map[Cell]bool, len(disk))
 		for _, c := range disk {
 			members[c] = true
@@ -277,19 +236,6 @@ func TestDiskCoveringContainsAllNearbyPoints(t *testing.T) {
 					q, geo.Haversine(p, q), p, len(disk))
 			}
 		}
-	}
-}
-
-func TestResolutionForEdge(t *testing.T) {
-	res := ResolutionForEdge(2000)
-	if EdgeLengthMeters(res) > 2000 {
-		t.Errorf("res %d edge %.0f m exceeds request", res, EdgeLengthMeters(res))
-	}
-	if res > 0 && EdgeLengthMeters(res-1) <= 2000 {
-		t.Errorf("res %d is not the coarsest valid resolution", res)
-	}
-	if got := ResolutionForEdge(0.0001); got != MaxResolution {
-		t.Errorf("tiny edge must clamp to MaxResolution, got %d", got)
 	}
 }
 
@@ -314,10 +260,10 @@ func TestInvalidInputs(t *testing.T) {
 	if InvalidCell.Valid() {
 		t.Error("InvalidCell must not be valid")
 	}
-	if InvalidCell.Neighbors() != nil {
+	if neighbors(InvalidCell) != nil {
 		t.Error("invalid cell has no neighbors")
 	}
-	if GridDistance(InvalidCell, InvalidCell) != -1 {
+	if gridDistance(InvalidCell, InvalidCell) != -1 {
 		t.Error("grid distance of invalid cells must be -1")
 	}
 }
@@ -326,26 +272,8 @@ func TestDifferentResolutionsIncomparable(t *testing.T) {
 	p := geo.Point{Lat: 40, Lon: 20}
 	a := LatLonToCell(p, 5)
 	b := LatLonToCell(p, 6)
-	if GridDistance(a, b) != -1 {
+	if gridDistance(a, b) != -1 {
 		t.Error("cells of different resolution must be incomparable")
-	}
-}
-
-func TestCover(t *testing.T) {
-	box := geo.BBox{MinLat: 36, MinLon: 24, MaxLat: 38, MaxLon: 26}
-	cells := Cover(box, 6)
-	if len(cells) == 0 {
-		t.Fatal("cover returned no cells")
-	}
-	seen := make(map[Cell]bool)
-	for _, c := range cells {
-		if seen[c] {
-			t.Errorf("duplicate cell %v in cover", c)
-		}
-		seen[c] = true
-		if !box.Contains(c.Center()) {
-			t.Errorf("cell center %v outside box", c.Center())
-		}
 	}
 }
 
@@ -362,7 +290,7 @@ func TestNearbyPointsShareDiskMembership(t *testing.T) {
 		q := geo.Destination(p, bearing, edge*0.9)
 		cp := LatLonToCell(p, res)
 		cq := LatLonToCell(q, res)
-		if d := GridDistance(cp, cq); d > 2 {
+		if d := gridDistance(cp, cq); d > 2 {
 			t.Errorf("points %.0f m apart in cells %d steps apart (%v, %v)",
 				geo.Haversine(p, q), d, p, q)
 		}
@@ -391,7 +319,7 @@ func BenchmarkGridDisk(b *testing.B) {
 	c := LatLonToCell(geo.Point{Lat: 37.9, Lon: 23.6}, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.GridDisk(1)
+		c.AppendGridDisk(nil, 1)
 	}
 }
 
@@ -421,6 +349,46 @@ func TestParseCellRejectsMalformed(t *testing.T) {
 	} {
 		if _, err := ParseCell(s); err == nil {
 			t.Errorf("ParseCell(%q) accepted", s)
+		}
+	}
+}
+
+// TestCellTextMatchesFmtReference pins String and Append to a fmt
+// reference, byte for byte, at every resolution and for negative axial
+// coordinates, and checks the text parses back.
+func TestCellTextMatchesFmtReference(t *testing.T) {
+	ref := func(c Cell) string {
+		if !c.Valid() {
+			return "hex:invalid"
+		}
+		q, r := c.axial()
+		return fmt.Sprintf("hex:%d:%d:%d", c.Resolution(), q, r)
+	}
+	var cells []Cell
+	for res := 0; res <= MaxResolution; res++ {
+		for _, p := range []geo.Point{
+			{Lat: 37.9, Lon: 23.6}, {Lat: -33.9, Lon: -70.7}, {Lat: 0, Lon: 0}, {Lat: -0.01, Lon: 179.9},
+		} {
+			cells = append(cells, LatLonToCell(p, res))
+		}
+		cells = append(cells, makeCell(res, -5, -7), makeCell(res, -coordBias, coordBias-1))
+	}
+	cells = append(cells, InvalidCell)
+	prefix := []byte("x,")
+	for _, c := range cells {
+		want := ref(c)
+		if got := c.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		if got := c.Append(append([]byte(nil), prefix...)); string(got) != "x,"+want {
+			t.Fatalf("Append = %q, want %q", got, "x,"+want)
+		}
+		if !c.Valid() {
+			continue
+		}
+		back, err := ParseCell(want)
+		if err != nil || back != c {
+			t.Fatalf("ParseCell(%q) = %v, %v; want %v", want, back, err, c)
 		}
 	}
 }

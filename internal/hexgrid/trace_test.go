@@ -10,7 +10,7 @@ import (
 func TestTraceLineSameCell(t *testing.T) {
 	a := geo.Point{Lat: 37.5, Lon: 24.5}
 	b := geo.Destination(a, 45, 50) // 50 m: same res-7 cell
-	cells := TraceLine(a, b, 7)
+	cells := AppendTraceLine(nil, a, b, 7)
 	if len(cells) != 1 {
 		t.Fatalf("tiny segment visits %d cells", len(cells))
 	}
@@ -22,7 +22,7 @@ func TestTraceLineSameCell(t *testing.T) {
 func TestTraceLineEndpointsIncluded(t *testing.T) {
 	a := geo.Point{Lat: 37.5, Lon: 24.5}
 	b := geo.Destination(a, 90, 30000) // ~7 cells at res 7
-	cells := TraceLine(a, b, 7)
+	cells := AppendTraceLine(nil, a, b, 7)
 	if cells[0] != LatLonToCell(a, 7) {
 		t.Fatal("start cell missing")
 	}
@@ -41,7 +41,7 @@ func TestTraceLineContiguous(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a := geo.Point{Lat: rng.Float64()*120 - 60, Lon: rng.Float64()*300 - 150}
 		b := geo.Destination(a, rng.Float64()*360, 1000+rng.Float64()*40000)
-		cells := TraceLine(a, b, 7)
+		cells := AppendTraceLine(nil, a, b, 7)
 		seen := map[Cell]bool{}
 		for j, c := range cells {
 			if seen[c] {
@@ -51,7 +51,7 @@ func TestTraceLineContiguous(t *testing.T) {
 			if j == 0 {
 				continue
 			}
-			if d := GridDistance(cells[j-1], c); d != 1 {
+			if d := gridDistance(cells[j-1], c); d != 1 {
 				t.Fatalf("trace gap: consecutive cells at distance %d (seg %v -> %v)", d, a, b)
 			}
 		}
@@ -67,7 +67,7 @@ func TestTraceLineCoversIntermediatePoints(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a := geo.Point{Lat: rng.Float64()*100 - 50, Lon: rng.Float64()*300 - 150}
 		b := geo.Destination(a, rng.Float64()*360, 20000)
-		cells := TraceLine(a, b, 8)
+		cells := AppendTraceLine(nil, a, b, 8)
 		member := map[Cell]bool{}
 		for _, c := range cells {
 			member[c] = true
@@ -79,7 +79,7 @@ func TestTraceLineCoversIntermediatePoints(t *testing.T) {
 				continue
 			}
 			adjacent := false
-			for _, n := range pc.Neighbors() {
+			for _, n := range neighbors(pc) {
 				if member[n] {
 					adjacent = true
 					break
@@ -94,10 +94,10 @@ func TestTraceLineCoversIntermediatePoints(t *testing.T) {
 
 func TestTraceLineInvalidInputs(t *testing.T) {
 	a := geo.Point{Lat: 37.5, Lon: 24.5}
-	if cells := TraceLine(a, geo.Point{Lat: 95, Lon: 0}, 7); cells != nil {
+	if cells := AppendTraceLine(nil, a, geo.Point{Lat: 95, Lon: 0}, 7); cells != nil {
 		t.Fatal("invalid endpoint must yield nil")
 	}
-	if cells := TraceLine(a, a, -1); cells != nil {
+	if cells := AppendTraceLine(nil, a, a, -1); cells != nil {
 		t.Fatal("invalid resolution must yield nil")
 	}
 }
@@ -107,6 +107,6 @@ func BenchmarkTraceLine(b *testing.B) {
 	p := geo.Destination(a, 120, 12000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TraceLine(a, p, 7)
+		AppendTraceLine(nil, a, p, 7)
 	}
 }

@@ -1,16 +1,13 @@
 // Package kvstore implements the in-memory key-value store the writer
 // actor persists actor states into, playing the role Redis plays in the
 // paper's middleware: strings, hashes and sorted sets with TTLs,
-// publish/subscribe channels, snapshot persistence, and a line-protocol
+// publish/subscribe channels, and a line-protocol
 // TCP server (a RESP subset) so external middleware like the UI API can
 // read the state the same way it would from Redis.
 package kvstore
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 )
@@ -512,94 +509,4 @@ func (s *Store) Subscribe(channel string, buffer int) (<-chan Message, func()) {
 			s.subMu.Unlock()
 		})
 	}
-}
-
-// snapshotEntry is the gob-encodable form of one key.
-type snapshotEntry struct {
-	Key      string
-	Kind     uint8
-	Str      string
-	Hash     map[string]string
-	ZMembers []ZMember
-	ExpireAt time.Time
-}
-
-// Save writes an RDB-like snapshot of the live dataset.
-func (s *Store) Save(w io.Writer) error {
-	s.mu.RLock()
-	now := time.Now()
-	snap := make([]snapshotEntry, 0, len(s.data))
-	for k, e := range s.data {
-		if e.expired(now) {
-			continue
-		}
-		se := snapshotEntry{Key: k, Kind: uint8(e.kind), Str: e.str, ExpireAt: e.expireAt}
-		if e.hash != nil {
-			se.Hash = make(map[string]string, len(e.hash))
-			for f, v := range e.hash {
-				se.Hash[f] = v
-			}
-		}
-		if e.zset != nil {
-			se.ZMembers = e.zset.rangeByScore(negInf, posInf)
-		}
-		snap = append(snap, se)
-	}
-	s.mu.RUnlock()
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// Load replaces the dataset with a snapshot written by Save.
-func (s *Store) Load(r io.Reader) error {
-	var snap []snapshotEntry
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return err
-	}
-	data := make(map[string]*entry, len(snap))
-	for _, se := range snap {
-		e := &entry{kind: valueKind(se.Kind), str: se.Str, expireAt: se.ExpireAt}
-		if se.Hash != nil {
-			e.hash = se.Hash
-		}
-		if se.Kind == uint8(kindZSet) {
-			e.zset = newZSet()
-			for _, m := range se.ZMembers {
-				e.zset.add(m.Score, m.Member)
-			}
-		}
-		data[se.Key] = e
-	}
-	s.mu.Lock()
-	s.data = data
-	s.mu.Unlock()
-	return nil
-}
-
-// SaveFile snapshots to a file path atomically (write temp + rename).
-func (s *Store) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile loads a snapshot file written by SaveFile.
-func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.Load(f)
 }

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -293,59 +292,6 @@ func TestPubSubSlowSubscriberDoesNotBlock(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("publisher blocked on slow subscriber")
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	s := New()
-	defer s.Close()
-	s.Set("s1", "v1")
-	s.SetEx("s2", "v2", time.Hour)
-	s.HSet("h1", "f1", "a")
-	s.HSet("h1", "f2", "b")
-	s.ZAdd("z1", 3, "m3")
-	s.ZAdd("z1", 1, "m1")
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := New()
-	defer s2.Close()
-	if err := s2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := s2.Get("s1"); !ok || v != "v1" {
-		t.Fatalf("s1 = %q %v", v, ok)
-	}
-	if ttl, ok := s2.TTL("s2"); !ok || ttl <= 0 {
-		t.Fatalf("s2 ttl = %v %v", ttl, ok)
-	}
-	m, _ := s2.HGetAll("h1")
-	if len(m) != 2 || m["f1"] != "a" {
-		t.Fatalf("h1 = %v", m)
-	}
-	members, _ := s2.ZRangeByScore("z1", negInf, posInf)
-	if len(members) != 2 || members[0].Member != "m1" {
-		t.Fatalf("z1 = %v", members)
-	}
-}
-
-func TestSnapshotFile(t *testing.T) {
-	s := New()
-	defer s.Close()
-	s.Set("k", "v")
-	path := t.TempDir() + "/snap.rdb"
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	s2 := New()
-	defer s2.Close()
-	if err := s2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := s2.Get("k"); !ok || v != "v" {
-		t.Fatalf("loaded %q %v", v, ok)
 	}
 }
 

@@ -74,16 +74,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Addr returns the listener address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
-}
-
 // Close stops the listener and all connections.
 func (s *Server) Close() {
 	s.mu.Lock()

@@ -271,3 +271,13 @@ func TestServerManySequentialCommands(t *testing.T) {
 		t.Fatalf("dbsize = %q", got)
 	}
 }
+
+// Addr returns the listener address, or nil before Serve.
+func (s *Server) Addr() net.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.listener == nil {
+		return nil
+	}
+	return s.listener.Addr()
+}

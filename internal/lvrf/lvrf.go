@@ -214,16 +214,6 @@ func Train(trips []Trip, ports map[string]geo.Point, cfg Config) *Model {
 // the size gauge the lifecycle trainer reports after a rebuild.
 func (m *Model) Lanes() int { return len(m.lanes) }
 
-// TotalTrips returns the number of historical trips folded into the
-// model's lane graphs.
-func (m *Model) TotalTrips() int {
-	total := 0
-	for _, lg := range m.lanes {
-		total += lg.trips
-	}
-	return total
-}
-
 // Pairs returns the OD pairs the model has dedicated lanes for.
 func (m *Model) Pairs() [][2]string {
 	out := make([][2]string, 0, len(m.lanes))
@@ -444,44 +434,4 @@ func (m *Model) PatternsOfLife(origin, dest string) (PatternsOfLife, error) {
 		return PatternsOfLife{}, fmt.Errorf("%w: %s -> %s", ErrUnknownPair, origin, dest)
 	}
 	return lg.pol, nil
-}
-
-// Junctions returns, per level, how many alternative branches the lane
-// has — introspection used by tests and the route-planner example.
-func (m *Model) Junctions(origin, dest string) ([]int, error) {
-	lg, ok := m.lanes[odKey{origin, dest}]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s -> %s", ErrUnknownPair, origin, dest)
-	}
-	out := make([]int, len(lg.edges))
-	for lvl := range lg.edges {
-		maxBranches := 0
-		for _, es := range lg.edges[lvl] {
-			if len(es) > maxBranches {
-				maxBranches = len(es)
-			}
-		}
-		out[lvl] = maxBranches
-	}
-	return out, nil
-}
-
-// MeanCrossTrack scores a forecast path against an actual trip: the
-// mean distance from each actual point to the nearest forecast segment
-// endpoint (a pragmatic path-distance proxy).
-func MeanCrossTrack(forecast []geo.Point, actual []geo.Point) float64 {
-	if len(forecast) == 0 || len(actual) == 0 {
-		return math.Inf(1)
-	}
-	sum := 0.0
-	for _, p := range actual {
-		best := math.Inf(1)
-		for _, q := range forecast {
-			if d := geo.FastDistance(p, q); d < best {
-				best = d
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(actual))
 }

@@ -54,9 +54,6 @@ func (d *DisplacementError) MeanADE() float64 {
 // Horizons returns the number of horizons tracked.
 func (d *DisplacementError) Horizons() int { return len(d.sums) }
 
-// Count returns the samples recorded at a horizon.
-func (d *DisplacementError) Count(horizon int) int { return d.counts[horizon] }
-
 // Confusion is a detection confusion matrix. TN is meaningful only when
 // the evaluation enumerates non-event candidates explicitly.
 type Confusion struct {

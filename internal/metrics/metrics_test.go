@@ -23,7 +23,7 @@ func TestDisplacementError(t *testing.T) {
 	if got := d.MeanADE(); math.Abs(got-(150+300+500)/3.0) > 1e-9 {
 		t.Fatalf("MeanADE = %f", got)
 	}
-	if d.Count(0) != 2 || d.Count(2) != 1 {
+	if d.counts[0] != 2 || d.counts[2] != 1 {
 		t.Fatal("counts wrong")
 	}
 	if d.Horizons() != 3 {

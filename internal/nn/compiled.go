@@ -21,7 +21,7 @@ import "sync"
 // The accumulation order is exactly the reference Predict's (bias, then
 // input terms in index order, then hidden terms). Two deliberate,
 // bounded numeric departures buy the rest of the speed: the gate
-// activations use the table-driven expFast (fastmath.go, ~2 ulp), and
+// activations use the table-driven exponential (fastmath.go, ~2 ulp), and
 // on GOAMD64=v3 / arm64 builds the multiply-accumulates fuse
 // (kernel_fma.go). Both stay orders of magnitude inside the 1e-12
 // parity contract that TestCompiledParity enforces against the
@@ -226,11 +226,6 @@ type Scratch struct {
 	out          []float64
 }
 
-// Out returns the scratch's own output buffer (length OutputDim). It is
-// the buffer PredictInto fills when dst is nil; its contents are valid
-// until the scratch is reused or returned to the pool.
-func (s *Scratch) Out() []float64 { return s.out }
-
 // Compiled is an immutable, inference-only snapshot of a trained
 // SeqRegressor. It shares no storage with the source model, so training
 // the source further never races a Compiled in use; recompile to pick
@@ -273,9 +268,6 @@ func (m *SeqRegressor) Compile() *Compiled {
 	}
 	return c
 }
-
-// Config returns the compiled model's configuration.
-func (c *Compiled) Config() Config { return c.cfg }
 
 // GetScratch draws a scratch arena from the model's pool. Callers that
 // predict in a loop should hold one scratch for the whole loop instead
@@ -326,12 +318,6 @@ func (c *Compiled) PredictInto(dst []float64, seq [][]float64, s *Scratch) []flo
 		dst[o] = z
 	}
 	return dst
-}
-
-// Predict is the allocating convenience wrapper over PredictInto: it
-// returns a fresh output vector and manages scratch internally.
-func (c *Compiled) Predict(seq [][]float64) []float64 {
-	return c.PredictInto(make([]float64, c.cfg.OutputDim), seq, nil)
 }
 
 // PredictBatch runs the compiled forward pass over many sequences —

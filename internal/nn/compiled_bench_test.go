@@ -37,7 +37,7 @@ func BenchmarkPredict(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		s := c.GetScratch()
 		defer c.PutScratch(s)
-		dst := make([]float64, c.Config().OutputDim)
+		dst := make([]float64, c.cfg.OutputDim)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -47,7 +47,7 @@ func BenchmarkPredict(b *testing.B) {
 	b.Run("compiled-pooled", func(b *testing.B) {
 		// The pool round-trip variant: what a caller pays when it does
 		// not hold a scratch across calls.
-		dst := make([]float64, c.Config().OutputDim)
+		dst := make([]float64, c.cfg.OutputDim)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c.PredictInto(dst, seq, nil)

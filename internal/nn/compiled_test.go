@@ -120,7 +120,7 @@ func TestCompiledVariants(t *testing.T) {
 	check("nil-both", c.PredictInto(nil, seq, nil))
 	s := c.GetScratch()
 	check("nil-dst", c.PredictInto(nil, seq, s))
-	if got := c.PredictInto(nil, seq, s); &got[0] != &s.Out()[0] {
+	if got := c.PredictInto(nil, seq, s); &got[0] != &s.out[0] {
 		t.Fatal("nil dst with scratch should fill the scratch's own buffer")
 	}
 	c.PutScratch(s)

@@ -8,16 +8,18 @@ import "math"
 // sigmoids and 2560 tanhs per call. math.Exp costs ~8ns here and
 // math.Tanh falls back to Exp for |x| >= 0.625 — which trained gate
 // pre-activations routinely exceed — so the stdlib activations account
-// for more than half of the compiled forward pass. expFast below is a
-// classic table-driven exponential (64-entry table, degree-5 polynomial
-// on a +-ln2/128 residual) measured at ~2 ulp over the gate range,
-// roughly half the cost of math.Exp. The reference path (lstm.go)
-// keeps the stdlib functions: it is the parity oracle, and the 1e-12
-// contract in TestCompiledParity is what bounds the drift introduced
-// here (observed worst case is ~1e-14 at the model outputs).
+// for more than half of the compiled forward pass. sigmoidFast and
+// tanhFast below fold in a classic table-driven exponential (64-entry
+// table, degree-5 polynomial on a +-ln2/128 residual) measured at
+// ~2 ulp over the gate range, roughly half the cost of math.Exp. The
+// reference path (lstm.go) keeps the stdlib functions: it is the parity
+// oracle, and the 1e-12 contract in TestCompiledParity is what bounds
+// the drift introduced here (observed worst case is ~1e-14 at the model
+// outputs).
 
 // expTab[j] holds exp(j/64 * ln2); scaling by 2^k is an exponent-bit
-// add, so expFast never multiplies by a separately computed power.
+// add, so the fast exponential never multiplies by a separately
+// computed power.
 var expTab [64]float64
 
 func init() {
@@ -37,19 +39,7 @@ const (
 	ln2lo64 = 2.9815858269852933e-12
 )
 
-// expFast computes e^x to ~2 ulp for |x| <= 700. Callers are expected
-// to range-check; outside that band the exponent-bit scaling wraps.
-func expFast(x float64) float64 {
-	z := x * invLn2x64
-	kf := z + shifter
-	ki := int64(math.Float64bits(kf)<<12) >> 12
-	kf -= shifter
-	r := x - kf*ln2hi64 - kf*ln2lo64
-	tb := math.Float64bits(expTab[ki&63]) + uint64(ki>>6)<<52
-	return math.Float64frombits(tb) * expPoly(r)
-}
-
-// sigmoidFast is 1/(1+e^-x) via expFast's table scheme, folded in so
+// sigmoidFast is 1/(1+e^-x) via the table scheme, folded in so
 // the whole evaluation is one call deep on the kernel's hot loop.
 // Beyond +-700 the true sigmoid is 0 or 1 to hundreds of digits, so
 // the clamp is exact in double precision; the clamp branches are
@@ -80,7 +70,7 @@ func sigmoidFast(x float64) float64 {
 // tanhFast mirrors math.Tanh's saturation behaviour (|x| > ~19.06
 // rounds to +-1 in double; at the clamp the e^-2x identity evaluates
 // to exactly +-1, so clamping is exact) and otherwise uses the e^-2x
-// identity with expFast's table scheme folded in. Near zero the
+// identity with the table scheme folded in. Near zero the
 // identity is still accurate: the numerator's cancellation keeps the
 // absolute error at ~1 ulp of 1, which tanh's unit bound makes
 // harmless downstream.
@@ -162,8 +152,8 @@ func act4(zi, zf, zg, zo float64) (ig, fg, gg, og float64) {
 	return 1 / (1 + ei), 1 / (1 + ef), (1 - eg) / (1 + eg), 1 / (1 + eo)
 }
 
-// expPoly is the shared degree-5 Taylor core of expFast on the reduced
-// residual r in [-ln2/128, ln2/128]; small enough to inline.
+// expPoly is the shared degree-5 Taylor core of the exponential on the
+// reduced residual r in [-ln2/128, ln2/128]; small enough to inline.
 func expPoly(r float64) float64 {
 	r2 := r * r
 	return 1 + r + r2*(0.5+r*(1.0/6)+r2*((1.0/24)+r*(1.0/120)))

@@ -57,3 +57,16 @@ func TestFastActivationEdges(t *testing.T) {
 		t.Error("tanhFast(NaN) must be NaN")
 	}
 }
+
+// expFast computes e^x to ~2 ulp for |x| <= 700 with the table scheme
+// sigmoidFast and tanhFast fold in, so its accuracy bounds theirs.
+// Outside that band the exponent-bit scaling wraps.
+func expFast(x float64) float64 {
+	z := x * invLn2x64
+	kf := z + shifter
+	ki := int64(math.Float64bits(kf)<<12) >> 12
+	kf -= shifter
+	r := x - kf*ln2hi64 - kf*ln2lo64
+	tb := math.Float64bits(expTab[ki&63]) + uint64(ki>>6)<<52
+	return math.Float64frombits(tb) * expPoly(r)
+}

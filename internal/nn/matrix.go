@@ -78,16 +78,6 @@ func sign(v float64) float64 {
 	}
 }
 
-// l1Norm returns the sum of absolute weights (for regularisation
-// reporting and tests).
-func (m *matrix) l1Norm() float64 {
-	s := 0.0
-	for _, w := range m.W {
-		s += math.Abs(w)
-	}
-	return s
-}
-
 func sigmoid(x float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }

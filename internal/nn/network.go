@@ -77,9 +77,6 @@ func NewSeqRegressor(cfg Config) (*SeqRegressor, error) {
 	return m, nil
 }
 
-// Config returns the model configuration.
-func (m *SeqRegressor) Config() Config { return m.cfg }
-
 // encDim returns the encoder output width.
 func (m *SeqRegressor) encDim() int {
 	if m.bw != nil {
@@ -283,32 +280,6 @@ func (m *SeqRegressor) fit(data []Sample, opt FitOptions, step func(batch []Samp
 		}
 	}
 	return lastLoss
-}
-
-// MSE returns the mean squared error over a dataset without training.
-func (m *SeqRegressor) MSE(data []Sample) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range data {
-		y := m.Predict(s.Seq)
-		for o := range y {
-			d := y[o] - s.Target[o]
-			sum += d * d
-		}
-	}
-	return sum / float64(len(data)*m.cfg.OutputDim)
-}
-
-// L1Norm returns the total absolute weight mass, used by tests to
-// verify the regulariser bites.
-func (m *SeqRegressor) L1Norm() float64 {
-	s := 0.0
-	for _, mat := range m.matrices() {
-		s += mat.l1Norm()
-	}
-	return s
 }
 
 // snapshot is the gob-serialisable model state.

@@ -228,8 +228,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("loaded model differs: %v vs %v", y1, y2)
 		}
 	}
-	if loaded.Config() != m.Config() {
-		t.Fatalf("config mismatch: %+v vs %+v", loaded.Config(), m.Config())
+	if loaded.cfg != m.cfg {
+		t.Fatalf("config mismatch: %+v vs %+v", loaded.cfg, m.cfg)
 	}
 }
 

@@ -252,3 +252,44 @@ func (m *matrix) clone() *matrix {
 		v: make([]float64, len(m.v)),
 	}
 }
+
+// Predict is the allocating form of PredictInto that the tests compare
+// against the reference forward pass.
+func (c *Compiled) Predict(seq [][]float64) []float64 {
+	return c.PredictInto(make([]float64, c.cfg.OutputDim), seq, nil)
+}
+
+// L1Norm returns the total absolute weight mass, used to verify the
+// regulariser bites.
+func (m *SeqRegressor) L1Norm() float64 {
+	s := 0.0
+	for _, mat := range m.matrices() {
+		s += mat.l1Norm()
+	}
+	return s
+}
+
+// l1Norm returns the sum of absolute weights.
+func (m *matrix) l1Norm() float64 {
+	s := 0.0
+	for _, w := range m.W {
+		s += math.Abs(w)
+	}
+	return s
+}
+
+// MSE returns the mean squared error over a dataset without training.
+func (m *SeqRegressor) MSE(data []Sample) float64 {
+	if len(data) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, s := range data {
+		y := m.Predict(s.Seq)
+		for o := range y {
+			d := y[o] - s.Target[o]
+			sum += d * d
+		}
+	}
+	return sum / float64(len(data)*m.cfg.OutputDim)
+}

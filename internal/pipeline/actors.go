@@ -313,7 +313,7 @@ func (a *collisionActor) Receive(c *actor.Context) {
 		// The detector sweeps only the pairs this cell owns, so a pass
 		// emits each pair once; the pipeline-wide cooldown suppresses
 		// the repeats of later passes.
-		if !a.p.shouldEmitPair("cx/"+e.PairKey(), m.at, 5*time.Minute) {
+		if !a.p.shouldEmitPair(e.PairKey(), m.at, 5*time.Minute) {
 			continue
 		}
 		a.p.emit(c, e)
@@ -395,11 +395,10 @@ func (w *writerActor) writeState(m stateMsg) {
 	ks := w.keysFor(m.report.MMSI)
 	st := w.p.kv
 	static, haveStatic := w.p.Static(m.report.MMSI)
-	if w.p.cfg.Feed != nil {
-		// Push transports: the frame rides the actor EventStream the
-		// feed hub is attached to. The hub's bounded per-subscriber
-		// rings guarantee this publish never blocks the writer.
-		w.p.system.Events().Publish(feed.State{
+	if hub := w.p.cfg.Feed; hub != nil {
+		// Push transports: the hub's bounded per-subscriber rings
+		// guarantee this publish never blocks the writer.
+		hub.PublishState(feed.State{
 			MMSI: m.report.MMSI, Name: static.Name,
 			Lat: m.report.Lat, Lon: m.report.Lon,
 			SOG: m.report.SOG, COG: m.report.COG,
@@ -464,8 +463,8 @@ func (w *writerActor) writeState(m stateMsg) {
 }
 
 func (w *writerActor) writeEvent(e events.Event) {
-	if w.p.cfg.Feed != nil {
-		w.p.system.Events().Publish(e)
+	if hub := w.p.cfg.Feed; hub != nil {
+		hub.PublishEvent(e)
 	}
 	w.p.views.ApplyEvent(e)
 	// The member is byte-appended into the writer's reused buffer —

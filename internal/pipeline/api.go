@@ -49,9 +49,6 @@ func NewAPI(p *Pipeline) *API {
 	return a
 }
 
-// Handler exposes the mux (tests drive it via httptest).
-func (a *API) Handler() http.Handler { return a.srv.Handler }
-
 // ListenAndServe binds addr and serves until Close.
 func (a *API) ListenAndServe(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -306,6 +303,11 @@ func parseBBox(w http.ResponseWriter, r *http.Request) (*geo.BBox, bool) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return bad("non-numeric component")
+		}
+		// NaN fails every comparison, so it would pass the min > max
+		// check below and select nothing.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return bad("non-finite component")
 		}
 		vals[i] = v
 	}

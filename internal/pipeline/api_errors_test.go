@@ -19,6 +19,9 @@ func TestBadQueryParamsRejected(t *testing.T) {
 		{"/api/vessels?limit=-5", http.StatusBadRequest},
 		{"/api/vessels?limit=0", http.StatusBadRequest},
 		{"/api/events?limit=nope", http.StatusBadRequest},
+		// Non-finite bbox components: NaN passes a min > max check.
+		{"/api/vessels?bbox=NaN,0,1,1", http.StatusBadRequest},
+		{"/api/vessels?bbox=-Inf,0,1,1", http.StatusBadRequest},
 		{"/api/route?from=Piraeus&to=Heraklion&length=tall", http.StatusBadRequest},
 		{"/api/route?from=Piraeus&to=Heraklion&draught=deep", http.StatusBadRequest},
 		{"/api/route?from=Piraeus&to=Heraklion&type=big", http.StatusBadRequest},

@@ -560,24 +560,6 @@ func (cl *clusterState) shutdown() {
 	}
 }
 
-// FailWorker simulates this worker's process dying, for fault-drill
-// and test use: heartbeats and forwarding stop, consumers close, but
-// the worker neither leaves the cluster nor passivates its vessel
-// actors — exactly what a crash leaves behind. The coordinator's lease
-// expiry reassigns its partitions and the new owners rehydrate from
-// the shared checkpoints. No-op without cluster config.
-func (p *Pipeline) FailWorker() {
-	cl := p.cl
-	if cl == nil {
-		return
-	}
-	atomic.StoreInt32(&cl.failed, 1)
-	cl.stopOnce.Do(func() { close(cl.stop) })
-	<-cl.hbDone
-	<-cl.fwdDone
-	cl.closeConsumers()
-}
-
 // OwnsKey reports whether this pipeline currently owns key (an MMSI or
 // hexgrid cell). Without cluster config every key is local.
 func (p *Pipeline) OwnsKey(key uint64) bool {

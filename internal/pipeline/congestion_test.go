@@ -59,7 +59,7 @@ func TestPortCongestionThroughPipeline(t *testing.T) {
 	}
 
 	// And over the API, which serves the rollup of the last refresh.
-	p.Views().Refresh()
+	p.views.Refresh()
 	api := NewAPI(p)
 	rec := httptest.NewRecorder()
 	api.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/congestion", nil))

@@ -202,10 +202,6 @@ type Pipeline struct {
 	// congestion is non-nil when Config.Ports was set.
 	congestion *congestion.Monitor
 
-	// feedDetach unsubscribes the live-feed hub from the EventStream on
-	// shutdown (nil when Config.Feed was not set).
-	feedDetach func()
-
 	// cl is the cluster worker runtime (nil in single-process mode —
 	// every ownership check on the hot path is then one nil compare).
 	cl *clusterState
@@ -217,7 +213,7 @@ const pairShardCount = 16
 // pairShard is one stripe of the pairwise dedup state.
 type pairShard struct {
 	mu   sync.Mutex
-	seen map[string]time.Time
+	seen map[uint64]time.Time
 	_    [48]byte
 }
 
@@ -274,19 +270,11 @@ func (p *Pipeline) Congestion() *congestion.Monitor { return p.congestion }
 
 // shouldEmitPair reports whether a pairwise event may be emitted, and
 // records it; repeats within the window are suppressed system-wide.
-// The check is striped by key hash: a pair always routes to the same
-// shard, so dedup stays exact while unrelated pairs never contend.
-func (p *Pipeline) shouldEmitPair(key string, at time.Time, window time.Duration) bool {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	sh := &p.pairShards[h&(pairShardCount-1)]
+// The check is striped by the pair key (events.PairKey) — the low bits
+// of both MMSIs — so a pair always routes to the same shard, dedup
+// stays exact, and unrelated pairs rarely contend.
+func (p *Pipeline) shouldEmitPair(key uint64, at time.Time, window time.Duration) bool {
+	sh := &p.pairShards[(key^key>>32)&(pairShardCount-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if last, ok := sh.seen[key]; ok && at.Sub(last) < window {
@@ -383,7 +371,7 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		p.routeModel.Store(cfg.RouteModel)
 	}
 	for i := range p.pairShards {
-		p.pairShards[i].seen = make(map[string]time.Time)
+		p.pairShards[i].seen = make(map[uint64]time.Time)
 	}
 	if len(cfg.Ports) > 0 {
 		p.congestion = congestion.NewMonitor(cfg.Ports, 0)
@@ -397,9 +385,6 @@ func New(cfg Config) (_ *Pipeline, err error) {
 	// Route-cache invalidation rides the registry's unregister hook:
 	// stopped or passivated actors drop their cached routes.
 	p.system.OnUnregister(p.onActorUnregistered)
-	if cfg.Feed != nil {
-		p.feedDetach = cfg.Feed.AttachStream(p.system.Events())
-	}
 	for i := 0; i < cfg.Writers; i++ {
 		pid, err := p.system.SpawnNamed(
 			actor.PropsFromProducer(func() actor.Actor { return &writerActor{p: p} }),
@@ -1021,9 +1006,6 @@ func (p *Pipeline) Shutdown(timeout time.Duration) {
 	if p.cl != nil {
 		p.cl.shutdown()
 	}
-	if p.feedDetach != nil {
-		p.feedDetach()
-	}
 	if p.cfg.Store == nil {
 		p.store.Close()
 	}
@@ -1031,11 +1013,3 @@ func (p *Pipeline) Shutdown(timeout time.Duration) {
 		p.views.Close()
 	}
 }
-
-// Feed returns the live-feed hub, or nil when not configured.
-func (p *Pipeline) Feed() *feed.Hub { return p.cfg.Feed }
-
-// Views returns the read-side serving layer; never nil. It is
-// Config.Views when one was provided (the caller closes it), else the
-// pipeline's own, which Shutdown closes.
-func (p *Pipeline) Views() *views.Views { return p.views }

@@ -250,7 +250,7 @@ func TestAPIEndpoints(t *testing.T) {
 		t.Fatalf("unknown vessel -> %d", rec.Code)
 	}
 	// Lists and events are served from the views' snapshots.
-	p.Views().Refresh()
+	p.views.Refresh()
 	rec = get("/api/vessels?limit=10")
 	var list []map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {

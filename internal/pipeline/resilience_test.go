@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"seatwin/internal/actor"
 	"seatwin/internal/ais"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
@@ -37,19 +36,13 @@ func TestVesselActorSurvivesForecasterPanic(t *testing.T) {
 	}
 	defer p.Shutdown(2 * time.Second)
 
-	var failures int64
-	unsub := actor.SubscribeType(p.System().Events(), func(actor.FailureEvent) {
-		atomic.AddInt64(&failures, 1)
-	})
-	defer unsub()
-
 	// 30 reports for one vessel: every 5th forecast panics, yet state
 	// keeps flowing for the rest.
 	feedTrack(p, 909000001, geo.Point{Lat: 37.5, Lon: 24.5}, 90, 12, 30, 30*time.Second, t0)
 	p.Drain(5 * time.Second)
 
-	if atomic.LoadInt64(&failures) == 0 {
-		t.Fatal("failures never surfaced on the event stream")
+	if p.System().StatsSnapshot().Failures == 0 {
+		t.Fatal("failures never counted")
 	}
 	h, _ := p.Store().HGetAll("vessel:909000001")
 	if h["lat"] == "" {

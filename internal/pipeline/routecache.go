@@ -126,17 +126,6 @@ func (c *routeCache) forEach(fn func(key uint64, pid *actor.PID)) {
 	}
 }
 
-// size returns the number of cached routes (tests and introspection).
-func (c *routeCache) size() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
-
 // Actor-name prefixes of the routed actor families. The unregister hook
 // parses keys back out of registry names: cold path, runs once per
 // actor death.

@@ -23,7 +23,7 @@ func TestRouteCacheServesWarmLookups(t *testing.T) {
 	if cached == nil {
 		t.Fatal("vessel route not cached after ingest")
 	}
-	if reg := p.System().Lookup(vesselActorName(mmsi)); reg != cached {
+	if reg, spawned := p.System().GetOrSpawn(vesselActorName(mmsi), nil); spawned || reg != cached {
 		t.Fatalf("cache (%v) and registry (%v) disagree", cached, reg)
 	}
 	if got := p.vesselActor(mmsi); got != cached {
@@ -44,11 +44,12 @@ func TestRouteCacheInvalidatedOnStop(t *testing.T) {
 	if old == nil {
 		t.Fatal("vessel route not cached after ingest")
 	}
-	if err := p.System().StopWait(old, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if pid := p.vesselRoutes.get(uint64(mmsi)); pid != nil {
-		t.Fatalf("dead PID %v still served from route cache", pid)
+	p.System().Stop(old)
+	for deadline := time.Now().Add(2 * time.Second); p.vesselRoutes.get(uint64(mmsi)) != nil; {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead PID %v still served from route cache", old)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Re-ingest: the slow path must spawn a fresh actor and the report
@@ -97,7 +98,7 @@ func TestRouteCacheChurnUnderRace(t *testing.T) {
 			default:
 			}
 			for i := 0; i < vessels; i++ {
-				if pid := p.System().Lookup(vesselActorName(ais.MMSI(239100000 + i))); pid != nil {
+				if pid := p.vesselRoutes.get(239100000 + uint64(i)); pid != nil {
 					p.System().Stop(pid)
 				}
 			}

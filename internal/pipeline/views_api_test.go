@@ -214,7 +214,7 @@ func TestViewsStalenessAfterNewReports(t *testing.T) {
 // Views keeps refreshing after the pipeline that used it is gone.
 func TestPipelineOwnedViews(t *testing.T) {
 	p := newTestPipeline(t)
-	if p.Views() == nil {
+	if p.views == nil {
 		t.Fatal("pipeline without Config.Views has no views")
 	}
 	rec := httptest.NewRecorder()
@@ -231,7 +231,7 @@ func TestPipelineOwnedViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared.Views() != v {
+	if shared.views != v {
 		t.Fatal("Views() is not the caller-provided instance")
 	}
 	shared.Shutdown(2 * time.Second)
@@ -258,7 +258,7 @@ func TestVesselsNewestFirstAndBBox(t *testing.T) {
 			30*time.Second, t0.Add(time.Duration(i)*time.Minute))
 	}
 	p.Drain(5 * time.Second)
-	p.Views().Refresh()
+	p.views.Refresh()
 	api := NewAPI(p)
 	get := func(path string) *httptest.ResponseRecorder {
 		t.Helper()

@@ -39,10 +39,13 @@ func TestMultipleWriters(t *testing.T) {
 			t.Fatalf("vessel %d state missing (%v)", 930000001+i, err)
 		}
 	}
-	// All four writer actors exist by name.
-	for w := 0; w < 4; w++ {
-		if p.System().Lookup(fmt.Sprintf("writer-%d", w)) == nil {
-			t.Fatalf("writer-%d not registered", w)
+	// All four writer actors are running.
+	if len(p.writers) != 4 {
+		t.Fatalf("%d writers, want 4", len(p.writers))
+	}
+	for w, pid := range p.writers {
+		if !pid.Alive() {
+			t.Fatalf("writer-%d not running", w)
 		}
 	}
 }

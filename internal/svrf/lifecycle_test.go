@@ -26,7 +26,7 @@ func trainWindows(t testing.TB, n int) []traj.Window {
 
 // referenceForecast is the interpreted-oracle forecast for a window.
 func referenceForecast(m *Model, w traj.Window) []geo.Point {
-	return traj.PredictedPositions(w.LastPos, m.net.Predict(w.Input))
+	return traj.PredictedPositionsInto(nil, w.LastPos, m.net.Predict(w.Input))
 }
 
 func assertForecastMatchesReference(t *testing.T, m *Model, w traj.Window, context string) {

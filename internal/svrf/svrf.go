@@ -13,7 +13,6 @@ package svrf
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,8 +108,8 @@ type Model struct {
 	net *nn.SeqRegressor
 
 	// weightsMu serialises everything that mutates or reads the raw
-	// network weights: Train, SwapWeightsFrom, Clone, ValidationMSE,
-	// Save and the slow compile path. The forecast hot path never takes
+	// network weights: Train, SwapWeightsFrom, Clone, SaveFile and the
+	// slow compile path. The forecast hot path never takes
 	// it — serving reads go through the compiled snapshot below.
 	weightsMu sync.Mutex
 	// gen counts weight generations. It is bumped (under weightsMu)
@@ -389,39 +388,11 @@ func (m *Model) SwapWeightsFrom(candidate *Model) error {
 	return nil
 }
 
-// ValidationMSE returns the network loss on held-out windows.
-func (m *Model) ValidationMSE(windows []traj.Window) float64 {
-	samples := make([]nn.Sample, len(windows))
-	for i, w := range windows {
-		samples[i] = nn.Sample{Seq: w.Input, Target: w.Target}
-	}
-	m.weightsMu.Lock()
-	defer m.weightsMu.Unlock()
-	return m.net.MSE(samples)
-}
-
-// Save writes the model to w.
-func (m *Model) Save(w io.Writer) error {
-	m.weightsMu.Lock()
-	defer m.weightsMu.Unlock()
-	return m.net.Save(w)
-}
-
 // SaveFile writes the model to a file atomically.
 func (m *Model) SaveFile(path string) error {
 	m.weightsMu.Lock()
 	defer m.weightsMu.Unlock()
 	return m.net.SaveFile(path)
-}
-
-// Load reads a model saved by Save. The svrf Config geometry is
-// recovered from the embedded network configuration.
-func Load(r io.Reader, cfg Config) (*Model, error) {
-	net, err := nn.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{cfg: cfg, net: net}, nil
 }
 
 // LoadFile reads a model saved by SaveFile.

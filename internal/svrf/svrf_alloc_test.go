@@ -71,7 +71,7 @@ func TestForecastMatchesReferencePredict(t *testing.T) {
 	}
 	w := forecastWindow(t)
 	got := m.Forecast(w)
-	want := traj.PredictedPositions(w.LastPos, m.net.Predict(w.Input))
+	want := traj.PredictedPositionsInto(nil, w.LastPos, m.net.Predict(w.Input))
 	if len(got) != len(want) {
 		t.Fatalf("length %d != %d", len(got), len(want))
 	}

@@ -1,7 +1,7 @@
 package svrf
 
 import (
-	"bytes"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -91,11 +91,11 @@ func TestForecastReportsLivePath(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	m, _ := New(cfg)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "svrf.gob")
+	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, cfg)
+	loaded, err := LoadFile(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,15 +185,10 @@ func buildOne(seg []ais.PositionReport, raw []ais.PositionReport, cfg Config) (W
 	return w, true
 }
 
-// PredictedPositions converts a model output vector (2*Horizons scaled
-// transitions) into absolute positions starting from the anchor.
-func PredictedPositions(anchor geo.Point, output []float64) []geo.Point {
-	return PredictedPositionsInto(nil, anchor, output)
-}
-
-// PredictedPositionsInto is PredictedPositions into a caller-provided
-// buffer: dst is resized to len(output)/2 positions, reusing its
-// backing array when it has the capacity. It returns the filled slice.
+// PredictedPositionsInto converts a model output vector (2*Horizons
+// scaled transitions) into absolute positions starting from the anchor.
+// dst is resized to len(output)/2 positions, reusing its backing array
+// when it has the capacity. It returns the filled slice.
 func PredictedPositionsInto(dst []geo.Point, anchor geo.Point, output []float64) []geo.Point {
 	n := len(output) / 2
 	if cap(dst) >= n {

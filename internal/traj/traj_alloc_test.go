@@ -10,7 +10,7 @@ import (
 func TestPredictedPositionsIntoMatchesAndReuses(t *testing.T) {
 	anchor := geo.Point{Lat: 37, Lon: 24}
 	output := []float64{0.5, 0.25, -0.3, 0.1, 0.2, -0.4, 0, 0, 0.05, 0.05, -0.1, 0.2}
-	want := PredictedPositions(anchor, output)
+	want := PredictedPositionsInto(nil, anchor, output)
 
 	dst := make([]geo.Point, 0, len(output)/2)
 	got := PredictedPositionsInto(dst, anchor, output)

@@ -88,7 +88,7 @@ func TestWindowTargetsMatchTruth(t *testing.T) {
 		t.Fatal("no windows")
 	}
 	for _, w := range windows[:3] {
-		pts := PredictedPositions(w.LastPos, w.Target)
+		pts := PredictedPositionsInto(nil, w.LastPos, w.Target)
 		for h, p := range pts {
 			if d := geo.Haversine(p, w.Truth[h]); d > 5 {
 				t.Fatalf("horizon %d: reconstructed %.1f m from truth", h, d)

@@ -233,7 +233,7 @@ func (v *Views) buildRegionSnapshot(epoch uint64, builtAt time.Time) *RegionSnap
 			body = append(body, ',')
 		}
 		body = append(body, `{"cell":"`...)
-		body = append(body, ca.cell.String()...)
+		body = ca.cell.Append(body)
 		body = append(body, `","count":`...)
 		body = strconv.AppendInt(body, int64(ca.agg.count), 10)
 		body = append(body, `,"underway":`...)
