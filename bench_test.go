@@ -9,7 +9,6 @@ package seatwin_bench
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -149,19 +148,19 @@ func BenchmarkVTFF_IndirectVsDirect(b *testing.B) {
 // --- Sharded runtime (DESIGN.md "Sharded runtime") ----------------
 
 // BenchmarkGetOrSpawnParallel measures a registry spawn storm: every
-// iteration materialises a new named actor — mimicking first contact of
+// iteration materialises a new keyed actor — mimicking first contact of
 // new MMSIs and hexgrid cells — interleaved with re-lookups of already
-// registered hot names (the steady-state case).
+// registered hot keys (the steady-state case).
 func BenchmarkGetOrSpawnParallel(b *testing.B) {
 	sys := actor.NewSystem("bench")
 	defer sys.Shutdown(time.Second)
 	props := actor.PropsOf(func(c *actor.Context) {})
-	var next int64
+	var next uint64
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			n := atomic.AddInt64(&next, 1)
-			sys.GetOrSpawn("v-"+strconv.FormatInt(n, 10), props)
-			sys.GetOrSpawn("v-"+strconv.FormatInt(n>>4, 10), props)
+			n := atomic.AddUint64(&next, 1)
+			sys.GetOrSpawn(actor.Key{ID: n}, props)
+			sys.GetOrSpawn(actor.Key{ID: n >> 4}, props)
 		}
 	})
 }

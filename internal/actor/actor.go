@@ -1,7 +1,8 @@
 // Package actor implements the actor-model runtime the maritime
 // forecasting pipeline is built on, playing the role Akka plays in the
 // paper: lightweight isolated actors, asynchronous message passing,
-// supervision with restarts, dead letters and an event stream.
+// supervision with restarts, dead-letter accounting and a registry of
+// entity-keyed actors.
 //
 // The runtime uses dispatcher-style scheduling rather than one parked
 // goroutine per actor: each actor owns a multi-producer mailbox and an
@@ -25,7 +26,6 @@ package actor
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Actor is the behaviour of an actor: it is invoked once per message
@@ -50,45 +50,46 @@ type (
 	Stopping struct{}
 	// Stopped is the last message an actor receives.
 	Stopped struct{}
-	// Restarting is delivered before the actor instance is replaced
-	// after a panic.
-	Restarting struct{ Reason any }
 )
+
+// Key names the entity an actor serves: Kind selects one of the
+// registry's tables (vessel, cell, ...), ID the entity within it (an
+// MMSI, a hexgrid cell index). Kind must be below Kinds.
+type Key struct {
+	Kind uint8
+	ID   uint64
+}
+
+// Kinds is the number of registry tables, one per entity family.
+const Kinds = 4
+
+// anonymous is the Kind of an actor started by Spawn; its ID is the
+// spawn sequence number and it is in no registry table.
+const anonymous = ^uint8(0)
 
 // PID identifies a running actor. PIDs are cheap to copy and safe to
 // share across goroutines; sending to a stopped actor's PID routes the
 // message to dead letters.
 type PID struct {
-	id      uint64
-	name    string
+	key     Key
 	process *process
 }
 
-// Name returns the actor's registered name (possibly auto-generated).
-func (p *PID) Name() string {
-	if p == nil {
-		return "<nil>"
-	}
-	return p.name
-}
-
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: pid://<kind>/<id> for a keyed actor,
+// pid://$<n> for the n-th anonymous one.
 func (p *PID) String() string {
-	if p == nil {
+	switch {
+	case p == nil:
 		return "pid://<nil>"
+	case p.key.Kind == anonymous:
+		return fmt.Sprintf("pid://$%d", p.key.ID)
 	}
-	return fmt.Sprintf("pid://%s/%d", p.name, p.id)
+	return fmt.Sprintf("pid://%d/%d", p.key.Kind, p.key.ID)
 }
 
 // Alive reports whether the actor behind the PID is still running.
 func (p *PID) Alive() bool {
 	return p != nil && p.process != nil && atomic.LoadInt32(&p.process.dead) == 0
-}
-
-// envelope carries one message and its sender through a mailbox.
-type envelope struct {
-	message any
-	sender  *PID
 }
 
 // system-internal control messages (processed ahead of user messages).
@@ -100,12 +101,3 @@ type (
 // poisonPill travels the user lane so every message enqueued before it
 // is processed first; receiving it stops the actor (System.Poison).
 type poisonPill struct{}
-
-// DeadLetter is published on the system event stream whenever a message
-// cannot be delivered.
-type DeadLetter struct {
-	Target  *PID
-	Message any
-	Sender  *PID
-	At      time.Time
-}

@@ -214,21 +214,15 @@ func TestStopOvertakesQueuedMessages(t *testing.T) {
 
 func TestSendToStoppedGoesToDeadLetters(t *testing.T) {
 	sys := NewSystem("t")
-	var dead int32
-	unsub := SubscribeType(sys.Events(), func(DeadLetter) { atomic.AddInt32(&dead, 1) })
-	defer unsub()
 	pid := sys.Spawn(echoProps())
 	stopWait(t, sys, pid)
 	if pid.Alive() {
 		t.Fatal("pid must report not alive after stop")
 	}
+	before := sys.StatsSnapshot().DeadLetters
 	sys.Send(pid, "ghost")
-	deadline := time.Now().Add(waitTimeout)
-	for atomic.LoadInt32(&dead) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dead letter never published")
-		}
-		time.Sleep(time.Millisecond)
+	if got := sys.StatsSnapshot().DeadLetters - before; got != 1 {
+		t.Fatalf("dead letters = %d, want 1", got)
 	}
 }
 
@@ -236,7 +230,7 @@ func TestRestartOnPanic(t *testing.T) {
 	sys := NewSystem("t")
 	defer sys.Shutdown(time.Second)
 	var instances int32
-	props := PropsFromProducer(func() Actor {
+	props := PropsFromProducer(func(Key) Actor {
 		atomic.AddInt32(&instances, 1)
 		count := 0
 		return ReceiveFunc(func(c *Context) {
@@ -264,51 +258,8 @@ func TestRestartOnPanic(t *testing.T) {
 	}
 }
 
-func TestResumeDirectiveKeepsState(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	props := PropsFromProducer(func() Actor {
-		count := 0
-		return ReceiveFunc(func(c *Context) {
-			switch m := c.Message().(type) {
-			case string:
-				panic("kaboom")
-			case request:
-				count++
-				m.reply <- count
-			}
-		})
-	})
-	props.strategy = SupervisorStrategy{Directive: DirectiveResume}
-	pid := sys.Spawn(props)
-	if r := call(t, sys, pid, "a"); r != 1 {
-		t.Fatalf("r=%v", r)
-	}
-	sys.Send(pid, "boom")
-	if r := call(t, sys, pid, "b"); r != 2 {
-		t.Fatalf("state lost on resume: r=%v", r)
-	}
-}
-
-func TestStopDirective(t *testing.T) {
-	sys := NewSystem("t")
-	props := PropsOf(func(c *Context) {
-		if c.Message() == "boom" {
-			panic("kaboom")
-		}
-	})
-	props.strategy = SupervisorStrategy{Directive: DirectiveStop}
-	pid := sys.Spawn(props)
-	sys.Send(pid, "boom")
-	deadline := time.Now().Add(waitTimeout)
-	for pid.Alive() {
-		if time.Now().After(deadline) {
-			t.Fatal("actor not stopped after panic with stop directive")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
+// TestRestartBudgetStopsActor: an actor that keeps panicking is
+// restarted maxRestarts times within restartWindow, then stopped.
 func TestRestartBudgetStopsActor(t *testing.T) {
 	sys := NewSystem("t")
 	props := PropsOf(func(c *Context) {
@@ -316,9 +267,8 @@ func TestRestartBudgetStopsActor(t *testing.T) {
 			panic("kaboom")
 		}
 	})
-	props.strategy = SupervisorStrategy{Directive: DirectiveRestart, MaxRestarts: 3, WindowSeconds: 60}
 	pid := sys.Spawn(props)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*maxRestarts; i++ {
 		sys.Send(pid, "boom")
 	}
 	deadline := time.Now().Add(waitTimeout)
@@ -328,39 +278,85 @@ func TestRestartBudgetStopsActor(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := sys.StatsSnapshot().Restarts; got > 3 {
-		t.Fatalf("restarted %d times, budget was 3", got)
+	if got := sys.StatsSnapshot().Restarts; got != maxRestarts {
+		t.Fatalf("restarted %d times, budget was %d", got, maxRestarts)
+	}
+	if got := sys.StatsSnapshot().Failures; got != maxRestarts+1 {
+		t.Fatalf("failures = %d, want %d", got, maxRestarts+1)
 	}
 }
 
+// TestNamedSpawnAndLookup: an actor is addressed by its entity key.
+// The same ID under another Kind is another entity, and a warm
+// GetOrSpawn returns the registered PID without spawning.
 func TestNamedSpawnAndLookup(t *testing.T) {
 	sys := NewSystem("t")
 	defer sys.Shutdown(time.Second)
-	pid, err := sys.SpawnNamed(echoProps(), "vessel-123")
-	if err != nil {
-		t.Fatal(err)
+	key := Key{Kind: 1, ID: 239000123}
+	pid, spawned := sys.GetOrSpawn(key, echoProps())
+	if !spawned {
+		t.Fatal("first GetOrSpawn must spawn")
 	}
-	if got := lookup(sys, "vessel-123"); got != pid {
+	if got := lookup(sys, key); got != pid {
 		t.Fatalf("lookup = %v want %v", got, pid)
 	}
-	if _, err := sys.SpawnNamed(echoProps(), "vessel-123"); err == nil {
-		t.Fatal("duplicate name must fail")
+	if again, spawned := sys.GetOrSpawn(key, echoProps()); spawned || again != pid {
+		t.Fatalf("warm GetOrSpawn = %v (spawned %v), want %v", again, spawned, pid)
 	}
-	if lookup(sys, "no-such") != nil {
+	other, spawned := sys.GetOrSpawn(Key{Kind: 2, ID: key.ID}, echoProps())
+	if !spawned || other == pid {
+		t.Fatal("same ID under another kind must be another actor")
+	}
+	if lookup(sys, Key{Kind: 1, ID: 7}) != nil {
 		t.Fatal("unknown lookup must be nil")
+	}
+	if n := registrySize(sys); n != 2 {
+		t.Fatalf("registry holds %d entries, want 2", n)
 	}
 }
 
 func TestLookupAfterStopIsNil(t *testing.T) {
 	sys := NewSystem("t")
-	pid, _ := sys.SpawnNamed(echoProps(), "temp")
+	key := Key{Kind: 0, ID: 42}
+	pid, _ := sys.GetOrSpawn(key, echoProps())
 	stopWait(t, sys, pid)
-	if lookup(sys, "temp") != nil {
+	if lookup(sys, key) != nil {
 		t.Fatal("stopped actor must be unregistered")
 	}
-	// Name is reusable after stop.
-	if _, err := sys.SpawnNamed(echoProps(), "temp"); err != nil {
-		t.Fatalf("name not reusable: %v", err)
+	if n := registrySize(sys); n != 0 {
+		t.Fatalf("registry holds %d entries after stop", n)
+	}
+	// The key is reusable after stop.
+	if _, spawned := sys.GetOrSpawn(key, echoProps()); !spawned {
+		t.Fatal("key not reusable after stop")
+	}
+}
+
+// TestRespawnSurvivesLateUnregister: GetOrSpawn replaces an entry whose
+// actor died before unregistering, and that actor's unregister, when it
+// comes, leaves the successor registered.
+func TestRespawnSurvivesLateUnregister(t *testing.T) {
+	sys := NewSystem("t")
+	defer sys.Shutdown(time.Second)
+	key := Key{Kind: 3, ID: 5}
+	old, _ := sys.GetOrSpawn(key, echoProps())
+	stopWait(t, sys, old)
+	// Put the corpse back, as if its unregister had not run yet.
+	sh := sys.shardOf(key)
+	sh.mu.Lock()
+	sh.m[key.ID] = old
+	sh.mu.Unlock()
+
+	fresh, spawned := sys.GetOrSpawn(key, echoProps())
+	if !spawned || fresh == old {
+		t.Fatal("a dead entry must be replaced by a fresh spawn")
+	}
+	sys.unregister(old)
+	if got := lookup(sys, key); got != fresh {
+		t.Fatalf("late unregister of %v removed its successor: lookup = %v", old, got)
+	}
+	if r := call(t, sys, fresh, "alive?"); r != "alive?" {
+		t.Fatalf("respawned actor replied %v", r)
 	}
 }
 
@@ -368,9 +364,9 @@ func TestGetOrSpawnConcurrent(t *testing.T) {
 	sys := NewSystem("t")
 	defer sys.Shutdown(time.Second)
 	var spawned int32
-	props := PropsFromProducer(func() Actor {
+	props := PropsFromProducer(func(k Key) Actor {
 		atomic.AddInt32(&spawned, 1)
-		return echoProps().producer()
+		return echoProps().producer(k)
 	})
 	const goroutines = 32
 	pids := make([]*PID, goroutines)
@@ -379,7 +375,7 @@ func TestGetOrSpawnConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pid, _ := sys.GetOrSpawn("cell-42", props)
+			pid, _ := sys.GetOrSpawn(Key{Kind: 1, ID: 42}, props)
 			pids[i] = pid
 		}(g)
 	}
@@ -392,6 +388,16 @@ func TestGetOrSpawnConcurrent(t *testing.T) {
 			t.Fatal("GetOrSpawn returned different PIDs")
 		}
 	}
+}
+
+func TestKeyKindOutOfRangePanics(t *testing.T) {
+	sys := NewSystem("t")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("GetOrSpawn with Kind >= Kinds must panic")
+		}
+	}()
+	sys.GetOrSpawn(Key{Kind: Kinds, ID: 1}, echoProps())
 }
 
 func TestSendAfter(t *testing.T) {
@@ -430,62 +436,6 @@ func TestSendAfterCancel(t *testing.T) {
 	case <-got:
 		t.Fatal("cancelled timer still delivered")
 	case <-time.After(150 * time.Millisecond):
-	}
-}
-
-func TestEventStreamPubSub(t *testing.T) {
-	es := NewEventStream()
-	var got []any
-	unsub := es.Subscribe(func(e any) { got = append(got, e) })
-	es.Publish(1)
-	es.Publish("two")
-	unsub()
-	es.Publish(3)
-	if len(got) != 2 || got[0] != 1 || got[1] != "two" {
-		t.Fatalf("got = %v", got)
-	}
-	if n := es.subscriptions(); n != 0 {
-		t.Fatalf("subscriptions remain: %d", n)
-	}
-}
-
-func TestEventStreamTypedSubscription(t *testing.T) {
-	es := NewEventStream()
-	var ints []int
-	unsub := SubscribeType(es, func(v int) { ints = append(ints, v) })
-	defer unsub()
-	es.Publish(1)
-	es.Publish("skip")
-	es.Publish(2)
-	if len(ints) != 2 || ints[0] != 1 || ints[1] != 2 {
-		t.Fatalf("ints = %v", ints)
-	}
-}
-
-func TestFailureEventPublished(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	failures := make(chan FailureEvent, 1)
-	unsub := SubscribeType(sys.Events(), func(f FailureEvent) {
-		select {
-		case failures <- f:
-		default:
-		}
-	})
-	defer unsub()
-	pid := sys.Spawn(PropsOf(func(c *Context) {
-		if c.Message() == "boom" {
-			panic("kaboom")
-		}
-	}))
-	sys.Send(pid, "boom")
-	select {
-	case f := <-failures:
-		if f.Reason != "kaboom" || f.Message != "boom" {
-			t.Fatalf("failure event = %+v", f)
-		}
-	case <-time.After(waitTimeout):
-		t.Fatal("failure event never published")
 	}
 }
 
@@ -595,13 +545,14 @@ func TestPIDString(t *testing.T) {
 	if nilPID.String() != "pid://<nil>" {
 		t.Fatalf("nil pid string = %q", nilPID.String())
 	}
-	if nilPID.Name() != "<nil>" {
-		t.Fatalf("nil pid name = %q", nilPID.Name())
-	}
 	sys := NewSystem("t")
-	pid, _ := sys.SpawnNamed(echoProps(), "writer")
-	if pid.Name() != "writer" {
-		t.Fatalf("name = %q", pid.Name())
+	defer sys.Shutdown(time.Second)
+	keyed, _ := sys.GetOrSpawn(Key{Kind: 2, ID: 239000001}, echoProps())
+	if got := keyed.String(); got != "pid://2/239000001" {
+		t.Fatalf("keyed pid string = %q", got)
+	}
+	if got := sys.Spawn(echoProps()).String(); got != "pid://$1" {
+		t.Fatalf("anonymous pid string = %q", got)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestMailboxShrinkAfterBurst(t *testing.T) {
 
 	// Burst fill and drain: both buffers end up with burst-sized capacity.
 	for i := 0; i < burst; i++ {
-		m.pushUser(envelope{message: i})
+		m.pushUser(i)
 	}
 	for {
 		if _, ok := m.popUser(); !ok {
@@ -85,15 +85,15 @@ func TestMailboxShrinkAfterBurst(t *testing.T) {
 	// decaying peak should trigger release of the oversized buffers.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 4; i++ {
-			m.pushUser(envelope{message: i})
+			m.pushUser(i)
 		}
 		n := 0
 		for {
-			e, ok := m.popUser()
+			msg, ok := m.popUser()
 			if !ok {
 				break
 			}
-			if e.message == nil {
+			if msg == nil {
 				t.Fatal("lost message payload")
 			}
 			n++
@@ -120,7 +120,7 @@ func TestMailboxShrinkKeepsSteadyBurst(t *testing.T) {
 	const batch = 4096
 	for round := 0; round < 10; round++ {
 		for i := 0; i < batch; i++ {
-			m.pushUser(envelope{message: i})
+			m.pushUser(i)
 		}
 		for {
 			if _, ok := m.popUser(); !ok {
@@ -132,37 +132,5 @@ func TestMailboxShrinkKeepsSteadyBurst(t *testing.T) {
 	// burst of capacity (swap reuses them), not have been released.
 	if cap(m.userR) < batch && cap(m.userW) < batch {
 		t.Fatalf("steady burst buffers were released: caps userR=%d userW=%d", cap(m.userR), cap(m.userW))
-	}
-}
-
-// TestOnUnregisterHook checks the hook fires exactly once per registry
-// removal, for both the explicit-stop and eager-lookup removal paths.
-func TestOnUnregisterHook(t *testing.T) {
-	sys := NewSystem("test")
-	defer sys.Shutdown(time.Second)
-
-	var mu sync.Mutex
-	removed := map[string]int{}
-	sys.OnUnregister(func(pid *PID) {
-		mu.Lock()
-		removed[pid.Name()]++
-		mu.Unlock()
-	})
-
-	props := PropsOf(func(c *Context) {})
-	pid, err := sys.SpawnNamed(props, "hooked")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopWait(t, sys, pid)
-	// A lookup after death must not re-fire the hook (unregister won).
-	if got := lookup(sys, "hooked"); got != nil {
-		t.Fatalf("dead actor still registered: %v", got)
-	}
-	mu.Lock()
-	n := removed["hooked"]
-	mu.Unlock()
-	if n != 1 {
-		t.Fatalf("unregister hook fired %d times, want 1", n)
 	}
 }

@@ -20,10 +20,9 @@ func (c *Context) Message() any { return c.message }
 // Self returns the PID of the processing actor.
 func (c *Context) Self() *PID { return c.self }
 
-// Send delivers a fire-and-forget message to target, with this actor
-// recorded as the sender.
+// Send delivers a fire-and-forget message to target.
 func (c *Context) Send(target *PID, msg any) {
-	c.system.sendWithSender(target, msg, c.self)
+	c.system.Send(target, msg)
 }
 
 // Stop requests this actor to stop after the current message.

@@ -1,19 +1,16 @@
 package actor
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestGetOrSpawnRespawnAfterStop(t *testing.T) {
 	sys := NewSystem("t")
 	props := echoProps()
-	pid1, spawned := sys.GetOrSpawn("cell-7", props)
+	pid1, spawned := sys.GetOrSpawn(Key{Kind: 1, ID: 7}, props)
 	if !spawned {
 		t.Fatal("first call must spawn")
 	}
 	stopWait(t, sys, pid1)
-	pid2, spawned := sys.GetOrSpawn("cell-7", props)
+	pid2, spawned := sys.GetOrSpawn(Key{Kind: 1, ID: 7}, props)
 	if !spawned {
 		t.Fatal("stopped actor must be respawned")
 	}
@@ -43,33 +40,7 @@ func TestLifecyclePanicDoesNotBlockStop(t *testing.T) {
 	if pid.Alive() {
 		t.Fatal("actor still alive")
 	}
-}
-
-func TestRestartingMessageCarriesReason(t *testing.T) {
-	sys := NewSystem("t")
-	defer sys.Shutdown(time.Second)
-	got := make(chan any, 1)
-	props := PropsFromProducer(func() Actor {
-		return ReceiveFunc(func(c *Context) {
-			switch m := c.Message().(type) {
-			case Restarting:
-				select {
-				case got <- m.Reason:
-				default:
-				}
-			case string:
-				panic("kaboom-reason")
-			}
-		})
-	})
-	pid := sys.Spawn(props)
-	sys.Send(pid, "x")
-	select {
-	case reason := <-got:
-		if reason != "kaboom-reason" {
-			t.Fatalf("reason = %v", reason)
-		}
-	case <-time.After(waitTimeout):
-		t.Fatal("Restarting never delivered")
+	if got := sys.StatsSnapshot().Failures; got != 1 {
+		t.Fatalf("failures = %d, want the lifecycle panic counted once", got)
 	}
 }

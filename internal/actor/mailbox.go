@@ -17,8 +17,8 @@ import (
 // than channels for the bursty fan-in pattern of AIS ingestion.
 type mailbox struct {
 	mu       sync.Mutex
-	userW    []envelope // producers append here
-	userR    []envelope // consumer drains here
+	userW    []any // producers append here
+	userR    []any // consumer drains here
 	userRPos int
 	sysW     []any
 	sysR     []any
@@ -49,23 +49,21 @@ func newMailbox() *mailbox {
 	return &mailbox{}
 }
 
-// pushUser enqueues a user envelope and returns the new queue length.
-func (m *mailbox) pushUser(e envelope) int64 {
+// pushUser enqueues a user message and returns the new queue length.
+func (m *mailbox) pushUser(msg any) int64 {
 	m.mu.Lock()
-	m.userW = append(m.userW, e)
+	m.userW = append(m.userW, msg)
 	m.mu.Unlock()
 	return atomic.AddInt64(&m.length, 1)
 }
 
-// pushUserBatch enqueues every message as an envelope from one sender
-// under a single lock acquisition — the batched delivery path ingestion
-// uses to pay mailbox lock and schedule cost once per vessel per poll
-// round instead of once per report.
-func (m *mailbox) pushUserBatch(msgs []any, sender *PID) int64 {
+// pushUserBatch enqueues every message under a single lock acquisition
+// — the batched delivery path ingestion uses to pay mailbox lock and
+// schedule cost once per vessel per poll round instead of once per
+// report.
+func (m *mailbox) pushUserBatch(msgs []any) int64 {
 	m.mu.Lock()
-	for _, msg := range msgs {
-		m.userW = append(m.userW, envelope{message: msg, sender: sender})
-	}
+	m.userW = append(m.userW, msgs...)
 	m.mu.Unlock()
 	return atomic.AddInt64(&m.length, int64(len(msgs)))
 }
@@ -96,19 +94,19 @@ func (m *mailbox) popSystem() (any, bool) {
 	return m.sysR[0], true
 }
 
-// popUser dequeues the next user envelope, if any.
-func (m *mailbox) popUser() (envelope, bool) {
+// popUser dequeues the next user message, if any.
+func (m *mailbox) popUser() (any, bool) {
 	if m.userRPos < len(m.userR) {
-		e := m.userR[m.userRPos]
-		m.userR[m.userRPos] = envelope{}
+		msg := m.userR[m.userRPos]
+		m.userR[m.userRPos] = nil
 		m.userRPos++
 		atomic.AddInt64(&m.length, -1)
-		return e, true
+		return msg, true
 	}
 	m.mu.Lock()
 	if len(m.userW) == 0 {
 		m.mu.Unlock()
-		return envelope{}, false
+		return nil, false
 	}
 	m.userR, m.userW = m.userW, m.userR[:0]
 	// Track the decayed batch-size peak and release a write buffer whose

@@ -1,7 +1,6 @@
 package actor
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -18,7 +17,8 @@ type process struct {
 
 	dead int32 // 1 once Stopped has been delivered
 
-	restartMu    sync.Mutex
+	// restartTimes holds the restarts inside the current restartWindow.
+	// Only the goroutine holding the mailbox schedule token touches it.
 	restartTimes []time.Time
 
 	stopping int32
@@ -32,26 +32,32 @@ type process struct {
 	ctx Context
 }
 
-func (p *process) sendUser(e envelope) {
+// Supervision: a panicking actor is replaced by a fresh instance from
+// its Producer, keeping its mailbox, unless that would be its
+// (maxRestarts+1)-th restart within restartWindow; then it is stopped.
+const (
+	maxRestarts   = 10
+	restartWindow = time.Minute
+)
+
+func (p *process) sendUser(msg any) {
 	if atomic.LoadInt32(&p.dead) == 1 {
-		p.system.deadLetter(p.pid, e.message, e.sender)
+		p.system.deadLetters(1)
 		return
 	}
-	p.mb.pushUser(e)
+	p.mb.pushUser(msg)
 	p.schedule()
 }
 
 // sendUserBatch enqueues msgs in order with one mailbox lock and one
 // schedule transition. A target found dead routes the whole batch to
 // dead letters, matching sendUser.
-func (p *process) sendUserBatch(msgs []any, sender *PID) {
+func (p *process) sendUserBatch(msgs []any) {
 	if atomic.LoadInt32(&p.dead) == 1 {
-		for _, msg := range msgs {
-			p.system.deadLetter(p.pid, msg, sender)
-		}
+		p.system.deadLetters(len(msgs))
 		return
 	}
-	p.mb.pushUserBatch(msgs, sender)
+	p.mb.pushUserBatch(msgs)
 	p.schedule()
 }
 
@@ -96,11 +102,10 @@ func (p *process) run() {
 // flushUser routes every queued user message to dead letters.
 func (p *process) flushUser() {
 	for {
-		e, ok := p.mb.popUser()
-		if !ok {
+		if _, ok := p.mb.popUser(); !ok {
 			return
 		}
-		p.system.deadLetter(p.pid, e.message, e.sender)
+		p.system.deadLetters(1)
 	}
 }
 
@@ -113,11 +118,11 @@ func (p *process) processBatch() {
 		if atomic.LoadInt32(&p.dead) == 1 {
 			return
 		}
-		e, ok := p.mb.popUser()
+		msg, ok := p.mb.popUser()
 		if !ok {
 			return
 		}
-		p.invoke(e)
+		p.invoke(msg)
 	}
 }
 
@@ -130,85 +135,62 @@ func (p *process) handleSystem(msg any) {
 	}
 }
 
-// invoke delivers one user envelope to the behaviour, converting panics
+// invoke delivers one user message to the behaviour, converting panics
 // into supervision decisions.
-func (p *process) invoke(e envelope) {
-	if _, ok := e.message.(poisonPill); ok {
+func (p *process) invoke(msg any) {
+	if _, ok := msg.(poisonPill); ok {
 		p.doStop()
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			p.handleFailure(r, e)
+			p.handleFailure()
 		}
 	}()
-	p.ctx = Context{system: p.system, self: p.pid, message: e.message}
+	p.ctx = Context{system: p.system, self: p.pid, message: msg}
 	p.actor.Receive(&p.ctx)
 	atomic.AddUint64(&p.system.stats.MessagesProcessed, 1)
 }
 
-// invokeLifecycle delivers a lifecycle message, swallowing panics (a
-// panic during Stopped must not prevent the stop from completing).
+// invokeLifecycle delivers a lifecycle message, counting and swallowing
+// a panic (a panic during Stopped must not prevent the stop from
+// completing).
 func (p *process) invokeLifecycle(msg any) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.system.events.Publish(FailureEvent{PID: p.pid, Reason: r, Lifecycle: true})
+			atomic.AddUint64(&p.system.stats.Failures, 1)
 		}
 	}()
 	p.ctx = Context{system: p.system, self: p.pid, message: msg}
 	p.actor.Receive(&p.ctx)
 }
 
-// FailureEvent is published on the event stream when an actor panics.
-type FailureEvent struct {
-	PID       *PID
-	Reason    any
-	Message   any  // the message being processed, nil for lifecycle
-	Lifecycle bool // true when the panic happened in a lifecycle handler
-}
-
-func (p *process) handleFailure(reason any, e envelope) {
+// handleFailure applies the supervision policy to an actor whose
+// Receive panicked; the failing message is dropped.
+func (p *process) handleFailure() {
 	atomic.AddUint64(&p.system.stats.Failures, 1)
-	p.system.events.Publish(FailureEvent{PID: p.pid, Reason: reason, Message: e.message})
-
-	switch p.props.strategy.Directive {
-	case DirectiveResume:
-		return // drop the failing message, keep state
-	case DirectiveStop:
+	if p.restartBudgetExceeded() {
 		p.doStop()
 		return
-	case DirectiveRestart:
-		if p.restartBudgetExceeded() {
-			p.doStop()
-			return
-		}
-		p.invokeLifecycle(Restarting{Reason: reason})
-		p.actor = p.props.producer()
-		atomic.AddUint64(&p.system.stats.Restarts, 1)
-		p.invokeLifecycle(Started{})
 	}
+	p.actor = p.props.producer(p.pid.key)
+	atomic.AddUint64(&p.system.stats.Restarts, 1)
+	p.invokeLifecycle(Started{})
 }
 
+// restartBudgetExceeded records a restart and reports whether it is
+// more than maxRestarts within restartWindow.
 func (p *process) restartBudgetExceeded() bool {
-	s := p.props.strategy
-	if s.MaxRestarts <= 0 {
-		return false
-	}
-	p.restartMu.Lock()
-	defer p.restartMu.Unlock()
 	now := time.Now()
-	if s.WindowSeconds > 0 {
-		cutoff := now.Add(-time.Duration(s.WindowSeconds) * time.Second)
-		keep := p.restartTimes[:0]
-		for _, t := range p.restartTimes {
-			if t.After(cutoff) {
-				keep = append(keep, t)
-			}
+	cutoff := now.Add(-restartWindow)
+	keep := p.restartTimes[:0]
+	for _, t := range p.restartTimes {
+		if t.After(cutoff) {
+			keep = append(keep, t)
 		}
-		p.restartTimes = keep
 	}
-	p.restartTimes = append(p.restartTimes, now)
-	return len(p.restartTimes) > s.MaxRestarts
+	p.restartTimes = append(keep, now)
+	return len(p.restartTimes) > maxRestarts
 }
 
 // doStop runs the stop sequence inline on the processing goroutine:

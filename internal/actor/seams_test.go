@@ -6,70 +6,28 @@ import (
 )
 
 // The runtime's observation seams: ways for this package's tests to
-// subscribe to the event stream, read the registry and wait on a stop.
-// Production code never calls them.
+// read the registry and wait on a stop. Production code never calls
+// them.
 
 const waitTimeout = 5 * time.Second
 
-// Events returns the system event stream.
-func (s *System) Events() *EventStream { return s.events }
-
-// Subscribe registers a handler for every published event and returns
-// an unsubscribe function.
-func (e *EventStream) Subscribe(fn func(any)) (unsubscribe func()) {
-	e.mu.Lock()
-	id := e.nextID
-	e.nextID++
-	e.subs[id] = fn
-	e.mu.Unlock()
-	return func() {
-		e.mu.Lock()
-		delete(e.subs, id)
-		e.mu.Unlock()
+// lookup returns the live PID registered under key, or nil.
+func lookup(s *System, key Key) *PID {
+	sh := s.shardOf(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if pid := sh.m[key.ID]; pid.Alive() {
+		return pid
 	}
+	return nil
 }
 
-// SubscribeType registers a handler invoked only for events of type T.
-func SubscribeType[T any](e *EventStream, fn func(T)) (unsubscribe func()) {
-	return e.Subscribe(func(ev any) {
-		if v, ok := ev.(T); ok {
-			fn(v)
-		}
-	})
-}
-
-// subscriptions returns the number of active subscriptions.
-func (e *EventStream) subscriptions() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.subs)
-}
-
-// lookup returns the live PID registered under name, or nil, through
-// the registry read GetOrSpawn uses (dead entries are removed eagerly).
-func lookup(s *System, name string) *PID {
-	return s.shardOf(name).lookup(name, s.hook())
-}
-
-// registered returns the number of named-registry entries per shard.
-func registered(s *System) []int {
-	out := make([]int, len(s.shards))
-	for i := range s.shards {
-		s.shards[i].m.Range(func(_, _ any) bool {
-			out[i]++
-			return true
-		})
-	}
-	return out
-}
-
-// registrySize returns the number of named-registry entries.
+// registrySize returns the number of registry entries, live or not yet
+// unregistered.
 func registrySize(s *System) int {
-	total := 0
-	for _, n := range registered(s) {
-		total += n
-	}
-	return total
+	n := 0
+	s.Each(func(Key, *PID) { n++ })
+	return n
 }
 
 // stopWait stops pid and waits until it has fully stopped.

@@ -2,7 +2,6 @@ package actor
 
 import (
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,9 +9,9 @@ import (
 )
 
 // TestGetOrSpawnConcurrentSpawnPassivate hammers GetOrSpawn from 32
-// goroutines over a small name pool while actors are concurrently
+// goroutines over a small key pool while actors are concurrently
 // stopped (the cell-passivation pattern), asserting exactly-one-spawn
-// semantics — at no point do two live actors share a name — and that
+// semantics — at no point do two live actors share a key — and that
 // no message is lost: everything sent is either processed or
 // dead-lettered, never dropped silently. Run it under -race.
 func TestGetOrSpawnConcurrentSpawnPassivate(t *testing.T) {
@@ -21,22 +20,22 @@ func TestGetOrSpawnConcurrentSpawnPassivate(t *testing.T) {
 
 	const (
 		workers = 32
-		names   = 64
+		keys    = 64
 		iters   = 300
 	)
 	var (
 		sent     atomic.Int64
 		received atomic.Int64
-		live     [names]atomic.Int32
+		live     [keys]atomic.Int32
 	)
 	propsFor := func(idx int) *Props {
 		return PropsOf(func(c *Context) {
 			switch c.Message().(type) {
 			case Started:
 				// Stopped(old) happens-before Started(new) for a reused
-				// name, so a gauge above 1 means two live actors shared it.
+				// key, so a gauge above 1 means two live actors shared it.
 				if g := live[idx].Add(1); g > 1 {
-					t.Errorf("name %d: %d concurrent live actors", idx, g)
+					t.Errorf("key %d: %d concurrent live actors", idx, g)
 				}
 			case Stopped:
 				live[idx].Add(-1)
@@ -53,8 +52,8 @@ func TestGetOrSpawnConcurrentSpawnPassivate(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w + 1)))
 			for i := 0; i < iters; i++ {
-				idx := rng.Intn(names)
-				pid, _ := sys.GetOrSpawn("cell-"+strconv.Itoa(idx), propsFor(idx))
+				idx := rng.Intn(keys)
+				pid, _ := sys.GetOrSpawn(Key{Kind: 1, ID: uint64(idx)}, propsFor(idx))
 				sent.Add(1)
 				sys.Send(pid, i)
 				if rng.Intn(8) == 0 {
@@ -79,15 +78,23 @@ func TestGetOrSpawnConcurrentSpawnPassivate(t *testing.T) {
 		t.Fatalf("messages lost: sent %d, accounted %d", sent.Load(), got)
 	}
 
-	// Registry bookkeeping stays exact through the churn.
-	liveNames := 0
-	for i := 0; i < names; i++ {
-		if lookup(sys, "cell-"+strconv.Itoa(i)) != nil {
-			liveNames++
+	// Registry bookkeeping stays exact through the churn: once the last
+	// stops have completed, the registry holds exactly the live actors.
+	var size, liveKeys int
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		liveKeys = 0
+		for i := 0; i < keys; i++ {
+			if lookup(sys, Key{Kind: 1, ID: uint64(i)}) != nil {
+				liveKeys++
+			}
+		}
+		size = registrySize(sys)
+		if (size == liveKeys && sys.LiveActors() == int64(liveKeys)) || time.Now().After(deadline) {
+			break
 		}
 	}
-	if size := registrySize(sys); size != liveNames {
-		t.Fatalf("registry holds %d entries, live names = %d", size, liveNames)
+	if size != liveKeys || sys.LiveActors() != int64(liveKeys) {
+		t.Fatalf("registry holds %d entries, live keys = %d, live actors = %d", size, liveKeys, sys.LiveActors())
 	}
 }
 
@@ -141,31 +148,6 @@ func TestSendBatchDuringStopLosesNothing(t *testing.T) {
 	}
 }
 
-// TestLookupRemovesDeadEntry verifies the stale-registry fix: a
-// registry entry whose actor has died is deleted eagerly by the
-// registry read instead of lingering until the process unregisters.
-func TestLookupRemovesDeadEntry(t *testing.T) {
-	sys := NewSystem("t")
-	pid, err := sys.SpawnNamed(PropsOf(func(c *Context) {}), "zombie")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopWait(t, sys, pid)
-	// Simulate the tombstone window: re-insert the dead pid as a stale
-	// entry, as if the unregister had not run yet.
-	sh := sys.shardOf("zombie")
-	sh.m.Store("zombie", pid)
-	if lookup(sys, "zombie") != nil {
-		t.Fatal("dead entry returned from lookup")
-	}
-	if _, ok := sh.m.Load("zombie"); ok {
-		t.Fatal("dead entry not eagerly deleted")
-	}
-	if size := registrySize(sys); size != 0 {
-		t.Fatalf("registry holds %d entries after tombstone removal", size)
-	}
-}
-
 // TestQueuedMessagesCountsBacklog verifies System.QueuedMessages sees a
 // backlog held in a slow actor's mailbox — the signal Pipeline.Drain
 // uses to not declare quiescence early.
@@ -173,14 +155,11 @@ func TestQueuedMessagesCountsBacklog(t *testing.T) {
 	sys := NewSystem("t")
 	defer sys.Shutdown(time.Second)
 	release := make(chan struct{})
-	pid, err := sys.SpawnNamed(PropsOf(func(c *Context) {
+	pid, _ := sys.GetOrSpawn(Key{Kind: 0, ID: 1}, PropsOf(func(c *Context) {
 		if _, ok := c.Message().(int); ok {
 			<-release
 		}
-	}), "slow")
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	for i := 0; i < 10; i++ {
 		sys.Send(pid, i)
 	}
@@ -192,6 +171,10 @@ func TestQueuedMessagesCountsBacklog(t *testing.T) {
 	}
 	if q := sys.QueuedMessages(); q < 9 {
 		t.Fatalf("QueuedMessages = %d, want >= 9", q)
+	}
+	// Samplers read it every few milliseconds: it must not allocate.
+	if avg := testing.AllocsPerRun(100, func() { sys.QueuedMessages() }); avg != 0 {
+		t.Fatalf("QueuedMessages allocates %.2f/call, want 0", avg)
 	}
 	close(release)
 	deadline = time.Now().Add(2 * time.Second)

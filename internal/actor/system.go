@@ -2,92 +2,70 @@ package actor
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// System owns a set of actors: a registry of named actors, the event
-// stream, dead-letter accounting and global defaults. One System per
-// process is the expected deployment, mirroring one Akka ActorSystem per
-// node in the paper's architecture.
+// System owns a set of actors: the registry of entity-keyed actors,
+// dead-letter accounting and global defaults. One System per process is
+// the expected deployment, mirroring one Akka ActorSystem per node in
+// the paper's architecture.
 //
-// The named-actor registry is striped over a fixed array of shards
-// (FNV-1a hash of the name selects the shard) so that spawn storms —
-// one actor per new MMSI and per first-contact hexgrid cell — contend
-// only within a shard instead of serialising system-wide on one mutex.
+// The registry is the one directory from an entity to the actor that
+// serves it. It holds one table per Kind, each striped over a fixed
+// array of shards keyed by the bare entity id, so a warm lookup is one
+// read-locked uint64 map read, and spawn storms — one actor per new
+// MMSI and per first-contact hexgrid cell — contend only within a
+// stripe instead of serialising system-wide on one mutex.
 type System struct {
 	nextID uint64
 
-	shards [registryShards]registryShard
+	tables [Kinds][registryShards]registryShard
 
-	events *EventStream
-	stats  Stats
-
-	// unregisterHook, when set, is invoked with every PID removed from
-	// the named registry (stop, passivation or eager dead-entry removal).
-	// Route caches keyed off registry names use it for invalidation. The
-	// hook runs on the unregistering goroutine and must not block.
-	unregisterHook atomic.Value // of func(*PID)
+	stats Stats
 
 	shutdown int32
 }
 
-// registryShard is one stripe of the named-actor registry. Lookups stay
-// lock-free through the shard's sync.Map; only spawns into the stripe
-// take the shard mutex. The trailing pad keeps neighbouring shards off
-// the same cache line under write-heavy spawn storms.
+// registryShard is one stripe of a registry table. Lookups take the
+// read lock; only spawns and unregisters take the write lock. The
+// trailing pad keeps neighbouring stripes off the same cache line under
+// write-heavy spawn storms.
 type registryShard struct {
-	mu sync.Mutex
-	m  sync.Map // name -> *PID
-	_  [64]byte
-}
-
-// lookup returns the live PID registered under name in this shard.
-// Entries whose actor has died are deleted eagerly so long-running
-// systems with passivating cell actors don't accumulate tombstones
-// between the death and the actor's own unregister. onUnregister (may
-// be nil) fires when this lookup is the one that removes the entry, so
-// external route caches observe every registry removal exactly once.
-func (sh *registryShard) lookup(name string, onUnregister func(*PID)) *PID {
-	v, ok := sh.m.Load(name)
-	if !ok {
-		return nil
-	}
-	pid := v.(*PID)
-	if pid.Alive() {
-		return pid
-	}
-	if sh.m.CompareAndDelete(name, pid) {
-		if onUnregister != nil {
-			onUnregister(pid)
-		}
-	}
-	return nil
+	mu sync.RWMutex
+	m  map[uint64]*PID // entity id -> PID; nil until the first spawn
+	_  [32]byte
 }
 
 // registryShards spreads spawn contention well past the core counts of
-// current hardware while keeping the per-system footprint trivial (a
-// few KiB). It is a power of two, so a hash masks to a shard.
+// current hardware while keeping the per-system footprint small (a few
+// KiB per table). It is a power of two, so a hash masks to a stripe.
 const registryShards = 64
 
 // throughput is the number of messages an actor processes per
 // scheduling run before yielding its goroutine.
 const throughput = 300
 
-// shardOf maps a name to its registry stripe (inlined FNV-1a).
-func (s *System) shardOf(name string) *registryShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
+// mix64 is the splitmix64 finaliser. Entity ids are dense (sequential
+// MMSI blocks, neighbouring cells), so their raw low bits would pile
+// onto a few stripes.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// shardOf maps a key to its registry stripe. A Kind without a table is
+// a programming error and panics rather than aliasing another table.
+func (s *System) shardOf(k Key) *registryShard {
+	if k.Kind >= Kinds {
+		panic(fmt.Sprintf("actor: key kind %d out of range (Kinds = %d)", k.Kind, Kinds))
 	}
-	return &s.shards[h&(registryShards-1)]
+	return &s.tables[k.Kind][mix64(k.ID)&(registryShards-1)]
 }
 
 // Stats aggregates system-level counters. All fields are read with
@@ -104,7 +82,7 @@ type Stats struct {
 // NewSystem creates an actor system. The name labels the system for
 // its caller; the runtime does not read it.
 func NewSystem(name string) *System {
-	return &System{events: NewEventStream()}
+	return &System{}
 }
 
 // StatsSnapshot returns a consistent-enough copy of the counters.
@@ -125,125 +103,118 @@ func (s *System) LiveActors() int64 {
 	return int64(snap.ActorsSpawned) - int64(snap.ActorsStopped)
 }
 
-// Spawn starts a top-level actor with an auto-generated name.
+// Spawn starts an anonymous actor: it is in no registry table.
 func (s *System) Spawn(props *Props) *PID {
-	pid := s.newProcess(props, "")
+	pid := s.newProcess(props, Key{Kind: anonymous, ID: atomic.AddUint64(&s.nextID, 1)})
 	pid.process.sendSystem(sysStarted{})
 	return pid
 }
 
-// OnUnregister installs fn as the registry-removal hook: it is called
-// with every PID leaving the named registry — explicit stop, poison,
-// passivation or eager dead-entry cleanup — exactly once per removal.
-// The pipeline points it at its route caches so a cached PID can never
-// outlive its registration unnoticed. fn runs on whichever goroutine
-// performs the removal and must be fast and non-blocking.
-func (s *System) OnUnregister(fn func(pid *PID)) {
-	s.unregisterHook.Store(fn)
-}
-
-// hook returns the installed unregister hook, or nil.
-func (s *System) hook() func(*PID) {
-	if v := s.unregisterHook.Load(); v != nil {
-		return v.(func(*PID))
-	}
-	return nil
-}
-
-// QueuedMessages sums the user-mailbox depth of every registered named
-// actor — the backlog still awaiting processing. Anonymous actors are
-// not counted; quiescence checks pair this with the MessagesProcessed
-// counter.
+// QueuedMessages sums the user-mailbox depth of every registered actor
+// — the backlog still awaiting processing. Anonymous actors are not
+// counted; quiescence checks pair this with the MessagesProcessed
+// counter. It allocates nothing, so it can be sampled often.
 func (s *System) QueuedMessages() int64 {
 	var total int64
-	for i := range s.shards {
-		s.shards[i].m.Range(func(_, v any) bool {
-			total += v.(*PID).process.mb.Len()
-			return true
-		})
+	for k := range s.tables {
+		for i := range s.tables[k] {
+			sh := &s.tables[k][i]
+			sh.mu.RLock()
+			for _, pid := range sh.m {
+				total += pid.process.mb.Len()
+			}
+			sh.mu.RUnlock()
+		}
 	}
 	return total
 }
 
-// GetOrSpawn returns the live actor registered under name, spawning it
-// from props when absent. The boolean reports whether a spawn happened.
-// This is the primitive the pipeline uses to materialise vessel actors
-// per MMSI and cell actors per hexgrid cell on first contact.
-func (s *System) GetOrSpawn(name string, props *Props) (*PID, bool) {
-	sh := s.shardOf(name)
-	if pid := sh.lookup(name, s.hook()); pid != nil {
+// Each calls fn for every registered actor. Each stripe is snapshotted
+// under its read lock and fn runs with no lock held, so fn may stop or
+// spawn actors; one registered or removed during the walk may or may
+// not be seen.
+func (s *System) Each(fn func(Key, *PID)) {
+	var buf []*PID
+	for k := range s.tables {
+		for i := range s.tables[k] {
+			sh := &s.tables[k][i]
+			sh.mu.RLock()
+			buf = buf[:0]
+			for _, pid := range sh.m {
+				buf = append(buf, pid)
+			}
+			sh.mu.RUnlock()
+			for _, pid := range buf {
+				fn(pid.key, pid)
+			}
+		}
+	}
+}
+
+// GetOrSpawn returns the live actor registered under key, spawning it
+// from props when absent or dead. The boolean reports whether a spawn
+// happened. This is the primitive the pipeline uses to materialise
+// vessel actors per MMSI and cell actors per hexgrid cell on first
+// contact; a warm call is one read-locked map read and a liveness
+// check, and allocates nothing.
+func (s *System) GetOrSpawn(key Key, props *Props) (*PID, bool) {
+	sh := s.shardOf(key)
+	sh.mu.RLock()
+	pid := sh.m[key.ID]
+	sh.mu.RUnlock()
+	if pid.Alive() {
 		return pid, false
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if pid := sh.lookup(name, s.hook()); pid != nil {
+	if pid := sh.m[key.ID]; pid.Alive() {
 		return pid, false
 	}
-	pid := s.newProcess(props, name)
-	sh.m.Store(name, pid)
+	if sh.m == nil {
+		sh.m = make(map[uint64]*PID)
+	}
+	pid = s.newProcess(props, key)
+	sh.m[key.ID] = pid // replaces a dead entry whose unregister is still to run
 	pid.process.sendSystem(sysStarted{})
 	return pid, true
 }
 
-// SpawnNamed starts a top-level actor registered under the given unique
-// name; it fails if the name is taken.
-func (s *System) SpawnNamed(props *Props, name string) (*PID, error) {
-	if name == "" {
-		return nil, fmt.Errorf("actor: empty name")
-	}
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if existing := sh.lookup(name, s.hook()); existing != nil {
-		return nil, fmt.Errorf("actor: name %q already registered", name)
-	}
-	pid := s.newProcess(props, name)
-	sh.m.Store(name, pid)
-	pid.process.sendSystem(sysStarted{})
-	return pid, nil
-}
-
-func (s *System) newProcess(props *Props, name string) *PID {
-	id := atomic.AddUint64(&s.nextID, 1)
-	if name == "" {
-		name = "$" + strconv.FormatUint(id, 10)
-	}
+func (s *System) newProcess(props *Props, key Key) *PID {
 	proc := &process{
 		system: s,
 		props:  props,
 		mb:     newMailbox(),
-		actor:  props.producer(),
+		actor:  props.producer(key),
 		done:   make(chan struct{}),
 	}
-	pid := &PID{id: id, name: name, process: proc}
+	pid := &PID{key: key, process: proc}
 	proc.pid = pid
 	atomic.AddUint64(&s.stats.ActorsSpawned, 1)
 	return pid
 }
 
+// unregister removes pid from its table if the entry still holds it: a
+// respawn under the same key that replaced the dead entry stays
+// registered.
 func (s *System) unregister(pid *PID) {
-	sh := s.shardOf(pid.name)
-	// CompareAndDelete keeps a name-reusing respawn registered when an
-	// eager lookup deletion or the respawn races this unregister; the
-	// unregister hook fires only on the side that won the removal.
-	if sh.m.CompareAndDelete(pid.name, pid) {
-		if fn := s.hook(); fn != nil {
-			fn(pid)
-		}
-	}
-}
-
-// Send delivers a fire-and-forget message with no sender.
-func (s *System) Send(target *PID, msg any) {
-	s.sendWithSender(target, msg, nil)
-}
-
-func (s *System) sendWithSender(target *PID, msg any, sender *PID) {
-	if target == nil || target.process == nil {
-		s.deadLetter(target, msg, sender)
+	if pid.key.Kind == anonymous {
 		return
 	}
-	target.process.sendUser(envelope{message: msg, sender: sender})
+	sh := s.shardOf(pid.key)
+	sh.mu.Lock()
+	if sh.m[pid.key.ID] == pid {
+		delete(sh.m, pid.key.ID)
+	}
+	sh.mu.Unlock()
+}
+
+// Send delivers a fire-and-forget message.
+func (s *System) Send(target *PID, msg any) {
+	if target == nil || target.process == nil {
+		s.deadLetters(1)
+		return
+	}
+	target.process.sendUser(msg)
 }
 
 // SendBatch delivers msgs to target in order, paying the mailbox lock
@@ -256,12 +227,10 @@ func (s *System) SendBatch(target *PID, msgs []any) {
 		return
 	}
 	if target == nil || target.process == nil {
-		for _, msg := range msgs {
-			s.deadLetter(target, msg, nil)
-		}
+		s.deadLetters(len(msgs))
 		return
 	}
-	target.process.sendUserBatch(msgs, nil)
+	target.process.sendUserBatch(msgs)
 }
 
 // Poison gracefully stops the target after every message already in
@@ -270,10 +239,10 @@ func (s *System) Poison(target *PID) {
 	if target == nil || target.process == nil {
 		return
 	}
-	target.process.sendUser(envelope{message: poisonPill{}})
+	target.process.sendUser(poisonPill{})
 }
 
-// Stop asynchronously stops the target and its children.
+// Stop asynchronously stops the target.
 func (s *System) Stop(target *PID) {
 	if target == nil || target.process == nil {
 		return
@@ -291,22 +260,17 @@ func (s *System) SendAfter(delay time.Duration, target *PID, msg any) *time.Time
 	})
 }
 
-func (s *System) deadLetter(target *PID, msg any, sender *PID) {
-	atomic.AddUint64(&s.stats.DeadLetters, 1)
-	s.events.Publish(DeadLetter{Target: target, Message: msg, Sender: sender, At: time.Now()})
+// deadLetters counts n messages that could not be delivered.
+func (s *System) deadLetters(n int) {
+	atomic.AddUint64(&s.stats.DeadLetters, uint64(n))
 }
 
-// Shutdown stops all named actors and disables timers. Anonymous
-// top-level actors not reachable from a named actor are left to drain.
+// Shutdown stops all registered actors and disables timers. Anonymous
+// actors are left to drain.
 func (s *System) Shutdown(timeout time.Duration) {
 	atomic.StoreInt32(&s.shutdown, 1)
 	var pids []*PID
-	for i := range s.shards {
-		s.shards[i].m.Range(func(_, v any) bool {
-			pids = append(pids, v.(*PID))
-			return true
-		})
-	}
+	s.Each(func(_ Key, pid *PID) { pids = append(pids, pid) })
 	deadline := time.Now().Add(timeout)
 	for _, pid := range pids {
 		s.Stop(pid)

@@ -216,14 +216,6 @@ type KV struct {
 // WrapKV decorates a store.
 func WrapKV(s *kvstore.Store, in *Injector) *KV { return &KV{inner: s, in: in} }
 
-// HSetMulti implements the batched hash write with faults.
-func (k *KV) HSetMulti(key string, fields map[string]string) (int, error) {
-	if err := k.in.fault("kv.HSetMulti"); err != nil {
-		return 0, err
-	}
-	return k.inner.HSetMulti(key, fields)
-}
-
 // HSetFields implements the slice-based batched hash write with faults.
 func (k *KV) HSetFields(key string, fields []kvstore.Field) (int, error) {
 	if err := k.in.fault("kv.HSetFields"); err != nil {

@@ -115,8 +115,8 @@ func TestKVInjectsOnEveryOp(t *testing.T) {
 	defer st.Close()
 	kv := WrapKV(st, New(Policy{ErrorRate: 1}))
 
-	if _, err := kv.HSetMulti("k", map[string]string{"a": "1"}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("HSetMulti err = %v", err)
+	if _, err := kv.HSetFields("k", []kvstore.Field{{Name: "a", Value: "1"}}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("HSetFields err = %v", err)
 	}
 	if _, err := kv.HGetAll("k"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("HGetAll err = %v", err)
@@ -132,7 +132,7 @@ func TestKVInjectsOnEveryOp(t *testing.T) {
 	}
 	// With chaos off the wrapper is transparent.
 	kv = WrapKV(st, nil)
-	if _, err := kv.HSetMulti("k", map[string]string{"a": "1"}); err != nil {
+	if _, err := kv.HSetFields("k", []kvstore.Field{{Name: "a", Value: "1"}}); err != nil {
 		t.Fatal(err)
 	}
 	fields, err := kv.HGetAll("k")

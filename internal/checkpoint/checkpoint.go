@@ -5,8 +5,8 @@
 // behind every committed offset dies with the process — without it a
 // restarted pipeline re-warms every vessel from MinLiveReports before
 // the first forecast. A checkpoint closes that gap: vessel actors
-// snapshot their window into the kvstore through the writer actors'
-// batched HSetMulti path, and a respawning actor rehydrates from the
+// snapshot their window into the kvstore through one batched
+// HSetFields write, and a respawning actor rehydrates from the
 // store so its first post-restart report forecasts immediately.
 //
 // Replayed broker records are deduplicated against the checkpoint's
@@ -38,10 +38,9 @@ const KeyPrefix = "ckpt:"
 // Key returns the store key of a vessel's checkpoint hash.
 func Key(mmsi ais.MMSI) string { return KeyPrefix + mmsi.String() }
 
-// Store is the slice of the kvstore surface checkpoints need; both
+// Store is the slice of the kvstore surface Load needs; both
 // *kvstore.Store and the chaos fault-injection wrapper satisfy it.
 type Store interface {
-	HSetMulti(key string, fields map[string]string) (int, error)
 	HGetAll(key string) (map[string]string, error)
 }
 
@@ -60,19 +59,6 @@ func (s Snapshot) LastSeen() time.Time {
 		return time.Time{}
 	}
 	return s.Reports[len(s.Reports)-1].Timestamp
-}
-
-// Encode renders the snapshot as a versioned field map for HSetMulti.
-// Floats round-trip exactly ('g', -1) so a rehydrated window produces
-// bit-identical model inputs, and timestamps carry nanoseconds so the
-// replay dedup comparison in the vessel actor stays exact.
-func Encode(s Snapshot) map[string]string {
-	return map[string]string{
-		"v":       strconv.Itoa(Version),
-		"n":       strconv.Itoa(len(s.Reports)),
-		"last_ts": strconv.FormatInt(s.LastSeen().UnixNano(), 10),
-		"hist":    string(AppendHistory(make([]byte, 0, len(s.Reports)*64), s.Reports)),
-	}
 }
 
 // AppendReport appends one report as comma-separated fields:
@@ -106,18 +92,23 @@ func AppendHistory(b []byte, reports []ais.PositionReport) []byte {
 	return b
 }
 
-// Encoder renders snapshots into reused buffers so a steady checkpoint
-// cadence costs one string conversion per save instead of one string
-// per report field. Not safe for concurrent use; each writer actor owns
-// one.
+// Encoder renders snapshots as versioned hash fields, into reused
+// buffers so a steady checkpoint cadence costs one string conversion
+// per save instead of one string per report field. Not safe for
+// concurrent use; each writer actor owns one.
 type Encoder struct {
 	buf    []byte
 	fields []kvstore.Field
 }
 
-// Fields encodes s exactly like Encode but as a field slice for
-// HSetFields, with all four values sharing one backing string. The
-// returned slice and its values are valid until the next call.
+// Fields encodes s as the field slice of one HSetFields write: "v"
+// (Version), "n" (report count), "last_ts" (newest timestamp, Unix
+// nanoseconds) and "hist" (AppendHistory), all four values sharing one
+// backing string. Floats round-trip exactly ('g', -1) so a rehydrated
+// window produces bit-identical model inputs, and timestamps carry
+// nanoseconds so the replay dedup comparison in the vessel actor stays
+// exact. The returned slice and its values are valid until the next
+// call.
 func (e *Encoder) Fields(s Snapshot) []kvstore.Field {
 	b := e.buf[:0]
 	b = strconv.AppendInt(b, Version, 10)
@@ -138,7 +129,7 @@ func (e *Encoder) Fields(s Snapshot) []kvstore.Field {
 	return e.fields
 }
 
-// Decode parses a field map written by Encode back into a snapshot for
+// Decode parses a field map written from Fields back into a snapshot for
 // the given vessel. It fails on unknown versions and on any field it
 // cannot parse — a corrupt checkpoint must degrade to a cold start,
 // never to a half-restored window.
@@ -216,12 +207,6 @@ func decodeReport(mmsi ais.MMSI, s string) (ais.PositionReport, error) {
 		Heading:   heading,
 		Timestamp: time.Unix(0, ns).UTC(),
 	}, nil
-}
-
-// Save writes the snapshot into the store as one batched hash write.
-func Save(st Store, s Snapshot) error {
-	_, err := st.HSetMulti(Key(s.MMSI), Encode(s))
-	return err
 }
 
 // Load reads a vessel's checkpoint. ok is false when none exists; a

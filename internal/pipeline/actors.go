@@ -100,7 +100,8 @@ func (v *vesselActor) Receive(c *actor.Context) {
 		// (the writer actors may already be stopping), so a clean stop
 		// never loses more than nothing.
 		if v.dirty && v.p.ckptInterval() > 0 && len(v.history) > 0 {
-			v.p.saveCheckpoint(v.mmsi, v.history)
+			var enc checkpoint.Encoder
+			v.p.saveCheckpointFields(checkpoint.Key(v.mmsi), v.mmsi, v.history, &enc)
 			v.dirty = false
 		}
 	case posMsg:
@@ -134,7 +135,7 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 		v.history = v.history[:n]
 	}
 	// Periodic checkpoint: every ckptInterval accepted reports a copy of
-	// the window rides the writer path (one batched HSetMulti), so a
+	// the window rides the writer path (one batched HSetFields), so a
 	// crash at any point loses at most an interval's worth of warmup.
 	if interval := v.p.ckptInterval(); interval > 0 {
 		v.dirty = true

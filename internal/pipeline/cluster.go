@@ -430,17 +430,16 @@ func (cl *clusterState) apply() {
 	}
 }
 
-// passivateForeign poisons every cached vessel actor whose MMSI this
-// worker no longer owns. Poison is graceful: queued messages are
+// passivateForeign poisons every registered vessel actor whose MMSI
+// this worker no longer owns. Poison is graceful: queued messages are
 // processed first, then the Stopping handler snapshots any dirty
-// window to the shared store for the new owner to rehydrate. The route
-// cache covers the live vessel population (every spawn passes through
-// it); an entry lost to an invalidation race at worst leaves an inert
-// actor behind, never a wrong route — ownership checks, not actor
-// existence, decide where reports go.
+// window to the shared store for the new owner to rehydrate. The
+// registry holds every live vessel actor; one spawned while the walk
+// runs may be missed, which leaves an idle actor, never a wrong route:
+// ownership checks, not actor existence, decide where reports go.
 func (cl *clusterState) passivateForeign() {
-	cl.p.vesselRoutes.forEach(func(key uint64, pid *actor.PID) {
-		if !cl.owns(key) {
+	cl.p.system.Each(func(k actor.Key, pid *actor.PID) {
+		if k.Kind == kindVessel && !cl.owns(k.ID) {
 			cl.p.system.Poison(pid)
 		}
 	})

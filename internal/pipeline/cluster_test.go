@@ -183,6 +183,15 @@ func TestClusterTwoWorkerFailover(t *testing.T) {
 	waitFor(t, 15*time.Second, "moved vessels to rehydrate on b", func() bool {
 		return b.Stats().CheckpointRestores >= int64(movedToB)
 	})
+	// A passivated every vessel actor it no longer owns.
+	waitFor(t, 15*time.Second, "a to passivate the vessels b owns", func() bool {
+		for id := range a.registered(kindVessel) {
+			if b.OwnsKey(id) {
+				return false
+			}
+		}
+		return true
+	})
 
 	// Feed one report per vessel through the worker that does NOT own
 	// it: every single report must cross the forward path and still

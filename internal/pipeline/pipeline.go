@@ -73,8 +73,7 @@ type Config struct {
 	RouteModel *lvrf.Model
 	// Feed, when non-nil, receives every vessel state and event for
 	// live fan-out to push subscribers (SSE / TCP feed): the writer
-	// actors publish onto the actor system's EventStream and the hub is
-	// attached to it (see internal/feed).
+	// actors publish into the hub directly (see internal/feed).
 	Feed *feed.Hub
 	// Views is the read-side serving layer: the writer actors publish
 	// every vessel state and event into it, and the API serves
@@ -125,7 +124,6 @@ func DefaultConfig(fc events.TrackForecaster) Config {
 // chaos wrapper injects faults on this path while API reads keep going
 // to the raw store (so "no lost committed state" stays checkable).
 type stateStore interface {
-	HSetMulti(key string, fields map[string]string) (int, error)
 	HSetFields(key string, fields []kvstore.Field) (int, error)
 	HGetAll(key string) (map[string]string, error)
 	ZAdd(key string, score float64, member string) (bool, error)
@@ -145,13 +143,9 @@ type Pipeline struct {
 
 	writers []*actor.PID
 
-	// Route caches: integer entity key -> PID, skipping name building
-	// and registry string hashing on the per-report hot path. Entries
-	// are invalidated through the actor system's unregister hook (see
-	// routecache.go for the correctness model).
-	vesselRoutes    *routeCache
-	proximityRoutes *routeCache
-	collisionRoutes *routeCache
+	// props holds each actor kind's Props, built once in New so an
+	// actor lookup builds no closure.
+	props [actor.Kinds]*actor.Props
 
 	statics sync.Map // ais.MMSI -> ais.StaticVoyage, the shared cache
 
@@ -345,10 +339,6 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		forecasts:  metrics.NewShardedCounter(0),
 		writerMask: uint64(cfg.Writers - 1),
 
-		vesselRoutes:    newRouteCache(),
-		proximityRoutes: newRouteCache(),
-		collisionRoutes: newRouteCache(),
-
 		retryAttempts:  metrics.NewShardedCounter(0),
 		retryRetried:   metrics.NewShardedCounter(0),
 		retryExhausted: metrics.NewShardedCounter(0),
@@ -382,17 +372,30 @@ func New(cfg Config) (_ *Pipeline, err error) {
 			return mon.Snapshot(time.Time{}) // zero = newest observed (sim time)
 		})
 	}
-	// Route-cache invalidation rides the registry's unregister hook:
-	// stopped or passivated actors drop their cached routes.
-	p.system.OnUnregister(p.onActorUnregistered)
+	p.props = [actor.Kinds]*actor.Props{
+		kindVessel: actor.PropsFromProducer(func(k actor.Key) actor.Actor {
+			return newVesselActor(p, ais.MMSI(k.ID))
+		}),
+		kindProximity: actor.PropsFromProducer(func(actor.Key) actor.Actor {
+			return &cellActor{
+				p:          p,
+				detector:   events.NewGridProximityDetector(p.cfg.Proximity),
+				passivator: newPassivator(p.idleTimeout()),
+			}
+		}),
+		kindCollision: actor.PropsFromProducer(func(k actor.Key) actor.Actor {
+			d := events.NewGridDetector(p.cfg.Collision, 10*time.Minute)
+			d.SetCell(k.ID)
+			return &collisionActor{
+				p:          p,
+				detector:   d,
+				passivator: newPassivator(p.idleTimeout()),
+			}
+		}),
+		kindWriter: actor.PropsFromProducer(func(actor.Key) actor.Actor { return &writerActor{p: p} }),
+	}
 	for i := 0; i < cfg.Writers; i++ {
-		pid, err := p.system.SpawnNamed(
-			actor.PropsFromProducer(func() actor.Actor { return &writerActor{p: p} }),
-			"writer-"+strconv.Itoa(i))
-		if err != nil {
-			return nil, err
-		}
-		p.writers = append(p.writers, pid)
+		p.writers = append(p.writers, p.actorOf(kindWriter, uint64(i)))
 	}
 	if cfg.Cluster != nil {
 		cl, err := newClusterState(p, *cfg.Cluster)
@@ -479,29 +482,12 @@ func (p *Pipeline) checkpointStale(key string, lastTS time.Time) bool {
 	return existing >= lastTS.UnixNano()
 }
 
-// saveCheckpoint persists one vessel's history window through the
-// (possibly chaos-wrapped) store, with retries; an exhausted save is
-// counted as a checkpoint failure and dropped — the previous
-// checkpoint, if any, stays in place.
-func (p *Pipeline) saveCheckpoint(mmsi ais.MMSI, reports []ais.PositionReport) {
-	if len(reports) > 0 && p.checkpointStale(checkpoint.Key(mmsi), reports[len(reports)-1].Timestamp) {
-		return
-	}
-	hint := uint64(mmsi)
-	if p.retryDo(hint, func() error {
-		return checkpoint.Save(p.kv, checkpoint.Snapshot{MMSI: mmsi, Reports: reports})
-	}) {
-		p.ckptSaves.Inc(hint, 1)
-	} else {
-		p.ckptFailures.Inc(hint, 1)
-	}
-}
-
-// saveCheckpointFields is the writer actors' fast path around
-// saveCheckpoint: the key is pre-rendered and cached per vessel, and
-// the snapshot is encoded through the writer's reused checkpoint
-// encoder straight into the store's append-based HSetFields — one
-// string conversion per snapshot instead of one per report field.
+// saveCheckpointFields persists one vessel's history window under key
+// through the (possibly chaos-wrapped) store, with retries; an
+// exhausted save is counted as a checkpoint failure and dropped — the
+// previous checkpoint, if any, stays in place. Writer actors pass their
+// reused encoder and a cached key, so a periodic save costs one string
+// conversion per snapshot instead of one per report field.
 func (p *Pipeline) saveCheckpointFields(key string, mmsi ais.MMSI, reports []ais.PositionReport, enc *checkpoint.Encoder) {
 	if len(reports) > 0 && p.checkpointStale(key, reports[len(reports)-1].Timestamp) {
 		return
@@ -715,25 +701,38 @@ func (p *Pipeline) IngestBatch(batch []TimedMessage) int {
 	return n
 }
 
-// vesselActor returns (spawning on first contact) the actor of a MMSI.
-// The hot path is one sharded int-keyed cache read; name building and
-// registry hashing only happen on first contact or after passivation.
-func (p *Pipeline) vesselActor(mmsi ais.MMSI) *actor.PID {
-	if pid := p.vesselRoutes.get(uint64(mmsi)); pid != nil {
-		return pid
-	}
-	return p.vesselActorSlow(mmsi)
-}
+// Actor kinds: each entity family has its own registry table, keyed by
+// the entity itself (MMSI, hexgrid cell, writer index).
+const (
+	kindVessel uint8 = iota
+	kindProximity
+	kindCollision
+	kindWriter
+)
 
-func (p *Pipeline) vesselActorSlow(mmsi ais.MMSI) *actor.PID {
-	pid, spawned := p.system.GetOrSpawn(vesselActorName(mmsi), actor.PropsFromProducer(func() actor.Actor {
-		return newVesselActor(p, mmsi)
-	}))
-	if spawned {
+// actorOf returns (spawning on first contact) the actor serving entity
+// id of the given kind. A warm lookup allocates nothing.
+func (p *Pipeline) actorOf(kind uint8, id uint64) *actor.PID {
+	pid, spawned := p.system.GetOrSpawn(actor.Key{Kind: kind, ID: id}, p.props[kind])
+	if spawned && kind == kindVessel {
 		atomic.AddInt64(&p.vessels, 1)
 	}
-	p.vesselRoutes.put(uint64(mmsi), pid)
 	return pid
+}
+
+// vesselActor returns the actor of a MMSI.
+func (p *Pipeline) vesselActor(mmsi ais.MMSI) *actor.PID {
+	return p.actorOf(kindVessel, uint64(mmsi))
+}
+
+// proximityActor returns the cell actor of a proximity cell.
+func (p *Pipeline) proximityActor(cell hexgrid.Cell) *actor.PID {
+	return p.actorOf(kindProximity, uint64(cell))
+}
+
+// collisionActor returns the collision actor of a collision cell.
+func (p *Pipeline) collisionActor(cell hexgrid.Cell) *actor.PID {
+	return p.actorOf(kindCollision, uint64(cell))
 }
 
 // idleTimeout resolves the cell-passivation setting.
@@ -746,50 +745,6 @@ func (p *Pipeline) idleTimeout() time.Duration {
 	default:
 		return p.cfg.CellIdleTimeout
 	}
-}
-
-// proximityActor returns the cell actor of a proximity cell, through
-// the sharded route cache like vesselActor.
-func (p *Pipeline) proximityActor(cell hexgrid.Cell) *actor.PID {
-	if pid := p.proximityRoutes.get(uint64(cell)); pid != nil {
-		return pid
-	}
-	return p.proximityActorSlow(cell)
-}
-
-func (p *Pipeline) proximityActorSlow(cell hexgrid.Cell) *actor.PID {
-	pid, _ := p.system.GetOrSpawn(proximityActorName(cell), actor.PropsFromProducer(func() actor.Actor {
-		return &cellActor{
-			p:          p,
-			detector:   events.NewGridProximityDetector(p.cfg.Proximity),
-			passivator: newPassivator(p.idleTimeout()),
-		}
-	}))
-	p.proximityRoutes.put(uint64(cell), pid)
-	return pid
-}
-
-// collisionActor returns the collision actor of a collision cell,
-// through the sharded route cache like vesselActor.
-func (p *Pipeline) collisionActor(cell hexgrid.Cell) *actor.PID {
-	if pid := p.collisionRoutes.get(uint64(cell)); pid != nil {
-		return pid
-	}
-	return p.collisionActorSlow(cell)
-}
-
-func (p *Pipeline) collisionActorSlow(cell hexgrid.Cell) *actor.PID {
-	pid, _ := p.system.GetOrSpawn(collisionActorName(cell), actor.PropsFromProducer(func() actor.Actor {
-		d := events.NewGridDetector(p.cfg.Collision, 10*time.Minute)
-		d.SetCell(uint64(cell))
-		return &collisionActor{
-			p:          p,
-			detector:   d,
-			passivator: newPassivator(p.idleTimeout()),
-		}
-	}))
-	p.collisionRoutes.put(uint64(cell), pid)
-	return pid
 }
 
 // Static returns the cached static voyage data of a vessel.

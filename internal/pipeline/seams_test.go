@@ -3,6 +3,8 @@ package pipeline
 import (
 	"net/http"
 	"sync/atomic"
+
+	"seatwin/internal/actor"
 )
 
 // Seams this package's tests drive the pipeline through; production
@@ -29,13 +31,14 @@ func (p *Pipeline) FailWorker() {
 	cl.closeConsumers()
 }
 
-// size returns the number of cached routes.
-func (c *routeCache) size() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
+// registered returns the registry's entries of one actor kind, by
+// entity id.
+func (p *Pipeline) registered(kind uint8) map[uint64]*actor.PID {
+	m := make(map[uint64]*actor.PID)
+	p.system.Each(func(k actor.Key, pid *actor.PID) {
+		if k.Kind == kind {
+			m[k.ID] = pid
+		}
+	})
+	return m
 }
