@@ -311,7 +311,7 @@ func BenchmarkAblation_SharedModel(b *testing.B) {
 }
 
 // BenchmarkForecastTrack measures the vessel-actor hot path: one
-// ForecastTrack call over a HistoryLimit-deep live history, which is
+// ForecastTrack call over a full 48-report live history, which is
 // what every position report costs once a vessel is warmed up. The
 // S-VRF variant runs the compiled fused-gate network in pooled
 // scratch; ForecastInto shows the same model without the Forecast

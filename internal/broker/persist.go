@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -73,9 +74,11 @@ func (s *segmentWriter) close() error {
 	return s.f.Close()
 }
 
-// segmentPath names a partition's file: <dir>/<topic>@<parts>-p<N>.log
+// segmentPath names a partition's file: <dir>/<topic>@<parts>-p<N>.log,
+// with the topic path-escaped so a name holding "/" stays one file in
+// dir.
 func segmentPath(dir, topic string, parts, partition int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s@%d-p%d.log", topic, parts, partition))
+	return filepath.Join(dir, fmt.Sprintf("%s@%d-p%d.log", url.PathEscape(topic), parts, partition))
 }
 
 // OpenDir opens (or creates) a durable broker rooted at dir: existing
@@ -107,10 +110,11 @@ func OpenDir(dir string) (*Broker, error) {
 			continue
 		}
 		parts, err1 := strconv.Atoi(base[at+1 : dash])
-		if err1 != nil || parts <= 0 {
+		topic, err2 := url.PathUnescape(base[:at])
+		if err1 != nil || err2 != nil || parts <= 0 {
 			continue
 		}
-		topics[base[:at]] = topicMeta{parts: parts}
+		topics[topic] = topicMeta{parts: parts}
 	}
 	for name, meta := range topics {
 		if err := b.CreateTopic(name, meta.parts); err != nil {

@@ -83,6 +83,53 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableTopicNameWithSlash: a topic whose name holds "/" (the
+// cluster's "part/<id>/ingest" forward topics) persists into dir and
+// replays under its own name, with its group offsets.
+func TestDurableTopicNameWithSlash(t *testing.T) {
+	const topic = "part/3/ingest"
+	dir := t.TempDir()
+	b1, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.CreateTopic(topic, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, _, err := b1.Produce(topic, "k", payload{Seq: i, Note: "fwd"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, _ := b1.Subscribe(topic, "g")
+	if recs := c.Poll(4, time.Second); len(recs) != 4 {
+		t.Fatalf("polled %d records, want 4", len(recs))
+	}
+	c.Commit()
+	if err := b1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if ends, err := b2.EndOffsets(topic); err != nil || len(ends) != 1 || ends[0] != 10 {
+		t.Fatalf("replayed end offsets %v (err %v), want [10]", ends, err)
+	}
+	c2, _ := b2.Subscribe(topic, "g")
+	recs := c2.Poll(100, 200*time.Millisecond)
+	if len(recs) != 6 {
+		t.Fatalf("resumed with %d records, want 6", len(recs))
+	}
+	for i, r := range recs {
+		if p, ok := r.Value.(payload); !ok || p.Seq != 4+i || p.Note != "fwd" {
+			t.Fatalf("record %d replayed as %#v", i, r.Value)
+		}
+	}
+}
+
 func TestDurableTornTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	b1, _ := OpenDir(dir)

@@ -11,7 +11,7 @@ import (
 )
 
 // ownerTestResolution is the collision cell resolution the pipeline
-// runs by default (pipeline.DefaultConfig's CollisionResolution).
+// runs (the pipeline's collisionResolution, grid "K").
 const ownerTestResolution = 7
 
 func TestCellTracerSortedDedupedTraceAndRing(t *testing.T) {

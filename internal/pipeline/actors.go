@@ -14,23 +14,25 @@ import (
 	"seatwin/internal/views"
 )
 
-// Messages exchanged between the pipeline's actors.
+// Messages exchanged between the pipeline's actors. The keyed ones a
+// vessel, cell or collision actor receives export their fields: they
+// cross partitions inside a Forwarded envelope, encoded by gob.
 type (
 	// posMsg carries one position report to a vessel actor.
 	posMsg struct {
-		report     ais.PositionReport
-		receivedAt time.Time
+		Report     ais.PositionReport
+		ReceivedAt time.Time
 	}
 	// cellPosMsg shares a vessel position with a proximity cell actor.
 	cellPosMsg struct {
-		mmsi ais.MMSI
-		pos  geo.Point
-		at   time.Time
+		MMSI ais.MMSI
+		Pos  geo.Point
+		At   time.Time
 	}
 	// forecastMsg shares a vessel's forecast with a collision actor.
 	forecastMsg struct {
-		forecast events.Forecast
-		at       time.Time
+		Forecast events.Forecast
+		At       time.Time
 	}
 	// eventMsg carries a detected or forecast event to a writer actor.
 	eventMsg struct {
@@ -114,7 +116,7 @@ func (v *vesselActor) Receive(c *actor.Context) {
 }
 
 func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
-	r := m.report
+	r := m.Report
 	// Out-of-order reports are dropped: per-key broker ordering makes
 	// them rare, but satellite feeds can replay.
 	if n := len(v.history); n > 0 && !r.Timestamp.After(v.history[n-1].Timestamp) {
@@ -125,12 +127,12 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 		v.p.emit(c, e)
 	}
 	v.history = append(v.history, r)
-	if len(v.history) > v.p.cfg.HistoryLimit {
+	if len(v.history) > historyLimit {
 		// Trim in place: nothing downstream retains a view of history
 		// (the forecasters read it synchronously and build fresh points;
 		// checkpoints copy explicitly), so sliding the window within the
 		// same buffer avoids reallocating it on every report.
-		drop := len(v.history) - v.p.cfg.HistoryLimit
+		drop := len(v.history) - historyLimit
 		n := copy(v.history, v.history[drop:])
 		v.history = v.history[:n]
 	}
@@ -173,19 +175,14 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 		// and near neighbours, so borders cannot hide a close pair. The
 		// cell list is built into the actor's reused scratch slice.
 		pos := geo.Point{Lat: r.Lat, Lon: r.Lon}
-		v.cellScratch = hexgrid.AppendDiskCovering(v.cellScratch[:0], pos, v.p.cfg.ProximityResolution, v.p.cfg.Proximity.ThresholdMeters)
+		v.cellScratch = hexgrid.AppendDiskCovering(v.cellScratch[:0], pos, proximityResolution, v.p.cfg.Proximity.ThresholdMeters)
 		// Box the (immutable) message once and share it across every
-		// destination cell instead of re-boxing per Send.
-		m := cellPosMsg{mmsi: r.MMSI, pos: pos, at: r.Timestamp}
-		var cpm any = m
+		// destination cell instead of re-boxing per Send. Cells are
+		// placed on the ring like vessels: route sends the share of a
+		// cell owned by another partition over its forward topic.
+		var cpm any = cellPosMsg{MMSI: r.MMSI, Pos: pos, At: r.Timestamp}
 		for _, cell := range v.cellScratch {
-			// Cells are placed on the ring like vessels: a cell owned by
-			// another partition gets the share over its forward topic.
-			if cl := v.p.cl; cl != nil && !cl.owns(uint64(cell)) {
-				cl.forwardCellPos(cell, m)
-				continue
-			}
-			c.Send(v.p.proximityActor(cell), cpm)
+			v.p.route(kindProximity, uint64(cell), cpm)
 		}
 		// Forecasts go to the collision actors of every cell the
 		// predicted track crosses plus each nearest neighbour (§5.2:
@@ -194,15 +191,10 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 		// receivers use the sets to agree on the one cell that sweeps
 		// each pair.
 		if haveForecast {
-			forecast.Cells = v.tracer.Cells(forecast, v.p.cfg.CollisionResolution)
-			var fm any = forecastMsg{forecast: forecast, at: r.Timestamp}
+			forecast.Cells = v.tracer.Cells(forecast, collisionResolution)
+			var fm any = forecastMsg{Forecast: forecast, At: r.Timestamp}
 			for _, id := range forecast.Cells {
-				cell := hexgrid.Cell(id)
-				if cl := v.p.cl; cl != nil && !cl.owns(id) {
-					cl.forwardForecast(cell, forecast, r.Timestamp)
-					continue
-				}
-				c.Send(v.p.collisionActor(cell), fm)
+				v.p.route(kindCollision, id, fm)
 			}
 		}
 	}
@@ -256,9 +248,9 @@ func (a *cellActor) Receive(c *actor.Context) {
 	if !ok {
 		return
 	}
-	a.hint = uint64(m.mmsi)
+	a.hint = uint64(m.MMSI)
 	start := time.Now()
-	evs := a.detector.Update(m.mmsi, m.pos, m.at)
+	evs := a.detector.Update(m.MMSI, m.Pos, m.At)
 	a.p.proxDet.updateLat.Observe(a.hint, time.Since(start))
 	a.pushDetectorStats()
 	for _, e := range evs {
@@ -305,16 +297,16 @@ func (a *collisionActor) Receive(c *actor.Context) {
 	if !ok {
 		return
 	}
-	a.hint = uint64(m.forecast.MMSI)
+	a.hint = uint64(m.Forecast.MMSI)
 	start := time.Now()
-	evs := a.detector.Update(m.forecast, m.at)
+	evs := a.detector.Update(m.Forecast, m.At)
 	a.p.collDet.updateLat.Observe(a.hint, time.Since(start))
 	a.pushDetectorStats()
 	for _, e := range evs {
 		// The detector sweeps only the pairs this cell owns, so a pass
 		// emits each pair once; the pipeline-wide cooldown suppresses
 		// the repeats of later passes.
-		if !a.p.shouldEmitPair(e.PairKey(), m.at, 5*time.Minute) {
+		if !a.p.shouldEmitPair(e.PairKey(), m.At, 5*time.Minute) {
 			continue
 		}
 		a.p.emit(c, e)

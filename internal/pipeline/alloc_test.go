@@ -42,7 +42,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 
 	const mmsi ais.MMSI = 239000555
 	// Warm up past the history limit so the window slides in place.
-	feedTrack(p, mmsi, geo.Point{Lat: 37.5, Lon: 24.5}, 90, 12, cfg.HistoryLimit+8, time.Second, t0)
+	feedTrack(p, mmsi, geo.Point{Lat: 37.5, Lon: 24.5}, 90, 12, historyLimit+8, time.Second, t0)
 	p.Drain(5 * time.Second)
 
 	const batch = 100

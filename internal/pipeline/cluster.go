@@ -13,21 +13,18 @@ import (
 	"seatwin/internal/chaos"
 	"seatwin/internal/checkpoint"
 	"seatwin/internal/cluster"
-	"seatwin/internal/events"
-	"seatwin/internal/geo"
-	"seatwin/internal/hexgrid"
 	"seatwin/internal/metrics"
 )
 
 // The cluster layer partitions the pipeline's keyspace — MMSIs and
 // hexgrid cells — across worker pipelines through internal/cluster's
-// consistent-hash ring. Every routing decision the actors make goes
-// through one ownership check: a locally-owned key takes exactly the
-// single-process path (the check is one atomic pointer load and a
-// binary search; with clustering off it is a nil comparison), and a
-// foreign key is forwarded as an encoded record onto the owning
-// partition's broker topic, consumed by whichever worker currently
-// holds that partition.
+// consistent-hash ring. Every keyed message goes through one function,
+// Pipeline.route, and its one ownership check: a locally-owned key
+// takes exactly the single-process path (the check is one atomic
+// pointer load and a binary search; with clustering off it is a nil
+// comparison), and a foreign key is forwarded in a Forwarded envelope
+// onto the owning partition's broker topic, consumed by whichever
+// worker currently holds that partition.
 //
 // Key→partition is static (the ring never changes), so a partition's
 // topic is a stable address: a rebalance only moves which worker
@@ -57,66 +54,43 @@ type ClusterConfig struct {
 	// ("part/<id>/ingest"). Workers of one cluster must share it (the
 	// same embedded instance in-process, or the same durable dir).
 	Broker *broker.Broker
-	// TopicPrefix overrides the forward-topic prefix ("part/").
-	TopicPrefix string
-	// Group is the consumer group owners consume forward topics under
-	// ("workers"). Committed offsets are what makes partition handoff
-	// at-least-once.
-	Group string
 	// HeartbeatInterval is how often the worker heartbeats the
 	// coordinator and refreshes its assignment (0 = 1s).
 	HeartbeatInterval time.Duration
-	// ForwardBuffer bounds the queue between the actors and the
-	// forwarding producer (0 = 4096). A full queue applies backpressure
-	// to ingestion rather than dropping.
-	ForwardBuffer int
-	// Replicas is the ring's virtual-node count per partition (0 =
-	// cluster.DefaultReplicas). All workers must agree.
-	Replicas int
 }
 
-// Forwarded record types: the wire form of cross-partition traffic.
-// Each carries the sender's epoch for observability; addressing never
-// depends on it because key→partition is static.
-type (
-	// ForwardedPosition is a position report owned by another partition.
-	ForwardedPosition struct {
-		Epoch      uint64
-		Report     ais.PositionReport
-		ReceivedAt time.Time
-	}
-	// ForwardedStatic is a static voyage document for a foreign vessel.
-	ForwardedStatic struct {
-		Epoch  uint64
-		Static ais.StaticVoyage
-	}
-	// ForwardedCellPos is a proximity-cell position share whose cell
-	// lives on another partition.
-	ForwardedCellPos struct {
-		Epoch    uint64
-		Cell     hexgrid.Cell
-		MMSI     ais.MMSI
-		Lat, Lon float64
-		At       time.Time
-	}
-	// ForwardedForecast is a collision-cell forecast share whose cell
-	// lives on another partition.
-	ForwardedForecast struct {
-		Epoch    uint64
-		Cell     hexgrid.Cell
-		Forecast events.Forecast
-		At       time.Time
-	}
+const (
+	// forwardTopicPrefix prefixes the per-partition forward topics.
+	forwardTopicPrefix = "part/"
+	// forwardGroup is the consumer group owners consume forward topics
+	// under. Committed offsets are what makes partition handoff
+	// at-least-once.
+	forwardGroup = "workers"
+	// forwardBuffer bounds the queue between the actors and the
+	// forwarding producer. A full queue applies backpressure to
+	// ingestion rather than dropping.
+	forwardBuffer = 4096
 )
 
-// RegisterClusterTypes registers the forwarded record types with the
-// broker's gob codec so forward topics survive a durable broker
-// (broker.OpenDir) round-trip. Call once before producing.
+// Forwarded is the wire form of cross-partition traffic: one of the
+// pipeline's own actor messages, addressed to the actor of kind Kind
+// keyed by ID on the worker that owns ID's partition.
+type Forwarded struct {
+	Kind uint8
+	ID   uint64
+	Msg  any
+}
+
+// RegisterClusterTypes registers the envelope and the messages it
+// carries with the broker's gob codec so forward topics survive a
+// durable broker (broker.OpenDir) round-trip. Call once before
+// producing.
 func RegisterClusterTypes() {
-	broker.RegisterType(ForwardedPosition{})
-	broker.RegisterType(ForwardedStatic{})
-	broker.RegisterType(ForwardedCellPos{})
-	broker.RegisterType(ForwardedForecast{})
+	broker.RegisterType(Forwarded{})
+	broker.RegisterType(posMsg{})
+	broker.RegisterType(ais.StaticVoyage{})
+	broker.RegisterType(cellPosMsg{})
+	broker.RegisterType(forecastMsg{})
 }
 
 // forwardItem is one queued cross-partition record.
@@ -155,7 +129,6 @@ type clusterState struct {
 	cfg    ClusterConfig
 	table  *cluster.Table
 	me     string
-	group  string
 	topics []string // partition -> forward topic name
 
 	produce clusterProducer
@@ -195,19 +168,10 @@ func newClusterState(p *Pipeline, cfg ClusterConfig) (*clusterState, error) {
 	if cfg.Partitions <= 0 {
 		return nil, fmt.Errorf("pipeline: cluster config needs a partition count")
 	}
-	if cfg.TopicPrefix == "" {
-		cfg.TopicPrefix = "part/"
-	}
-	if cfg.Group == "" {
-		cfg.Group = "workers"
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = time.Second
 	}
-	if cfg.ForwardBuffer <= 0 {
-		cfg.ForwardBuffer = 4096
-	}
-	ring, err := cluster.NewRing(cfg.Partitions, cfg.Replicas)
+	ring, err := cluster.NewRing(cfg.Partitions, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -216,9 +180,8 @@ func newClusterState(p *Pipeline, cfg ClusterConfig) (*clusterState, error) {
 		cfg:          cfg,
 		table:        cluster.NewTable(ring),
 		me:           cfg.WorkerID,
-		group:        cfg.Group,
 		topics:       make([]string, cfg.Partitions),
-		forwardCh:    make(chan forwardItem, cfg.ForwardBuffer),
+		forwardCh:    make(chan forwardItem, forwardBuffer),
 		stop:         make(chan struct{}),
 		fwdDone:      make(chan struct{}),
 		hbDone:       make(chan struct{}),
@@ -229,7 +192,7 @@ func newClusterState(p *Pipeline, cfg ClusterConfig) (*clusterState, error) {
 		fenced:       metrics.NewShardedCounter(0),
 	}
 	for i := 0; i < cfg.Partitions; i++ {
-		cl.topics[i] = cfg.TopicPrefix + strconv.Itoa(i) + "/ingest"
+		cl.topics[i] = forwardTopicPrefix + strconv.Itoa(i) + "/ingest"
 		if err := cfg.Broker.CreateTopic(cl.topics[i], 1); err != nil {
 			return nil, err
 		}
@@ -269,39 +232,15 @@ func (cl *clusterState) topicOf(key uint64) string {
 
 // forward enqueues one record for the owning partition's topic. The
 // queue is bounded: when the forwarding producer falls behind, ingest
-// blocks (backpressure) instead of dropping. Returns false only when
-// the worker is stopping.
-func (cl *clusterState) forward(key uint64, value any) bool {
+// blocks (backpressure) instead of dropping. A worker that is stopping
+// drops the record.
+func (cl *clusterState) forward(key uint64, value any) {
 	atomic.AddInt64(&cl.pending, 1)
 	select {
 	case cl.forwardCh <- forwardItem{topic: cl.topicOf(key), key: key, value: value}:
-		return true
 	case <-cl.stop:
 		atomic.AddInt64(&cl.pending, -1)
-		return false
 	}
-}
-
-// Typed forward helpers, one per record kind. Each stamps the sender's
-// current epoch.
-
-func (cl *clusterState) forwardPosition(r ais.PositionReport, receivedAt time.Time) {
-	cl.forward(uint64(r.MMSI), ForwardedPosition{Epoch: cl.table.Epoch(), Report: r, ReceivedAt: receivedAt})
-}
-
-func (cl *clusterState) forwardStatic(m ais.StaticVoyage) {
-	cl.forward(uint64(m.MMSI), ForwardedStatic{Epoch: cl.table.Epoch(), Static: m})
-}
-
-func (cl *clusterState) forwardCellPos(cell hexgrid.Cell, m cellPosMsg) {
-	cl.forward(uint64(cell), ForwardedCellPos{
-		Epoch: cl.table.Epoch(), Cell: cell, MMSI: m.mmsi,
-		Lat: m.pos.Lat, Lon: m.pos.Lon, At: m.at,
-	})
-}
-
-func (cl *clusterState) forwardForecast(cell hexgrid.Cell, f events.Forecast, at time.Time) {
-	cl.forward(uint64(cell), ForwardedForecast{Epoch: cl.table.Epoch(), Cell: cell, Forecast: f, At: at})
 }
 
 // forwarder is the single producer goroutine draining the forward
@@ -398,7 +337,7 @@ func (cl *clusterState) apply() {
 		pc, have := cl.consumers[part]
 		switch {
 		case mine && !have:
-			cons, err := cl.cfg.Broker.Subscribe(cl.topics[i], cl.group)
+			cons, err := cl.cfg.Broker.Subscribe(cl.topics[i], forwardGroup)
 			if err != nil {
 				continue // topic was created in newClusterState; can't happen
 			}
@@ -494,40 +433,15 @@ func (cl *clusterState) consumeLoop(pc *partConsumer) {
 			cl.fenced.Inc(uint64(pc.part), int64(len(recs)))
 			return
 		}
+		// Each forwarded record is applied locally, exactly as the
+		// single-process path would have.
 		for i := range recs {
-			cl.deliver(recs[i])
+			if f, ok := recs[i].Value.(Forwarded); ok {
+				cl.received.Inc(f.ID, 1)
+				cl.p.deliver(f.Kind, f.ID, f.Msg)
+			}
 		}
 		pc.cons.Commit()
-	}
-}
-
-// deliver applies one forwarded record locally, exactly as the
-// single-process path would have.
-func (cl *clusterState) deliver(r broker.Record) {
-	p := cl.p
-	switch v := r.Value.(type) {
-	case ForwardedPosition:
-		cl.received.Inc(uint64(v.Report.MMSI), 1)
-		p.messages.Inc(uint64(v.Report.MMSI), 1)
-		atomic.AddInt64(&p.ingested, 1)
-		p.system.Send(p.vesselActor(v.Report.MMSI), posMsg{report: v.Report, receivedAt: v.ReceivedAt})
-	case ForwardedStatic:
-		cl.received.Inc(uint64(v.Static.MMSI), 1)
-		m := v.Static
-		if prev, ok := p.statics.Load(m.MMSI); ok {
-			m = mergeStatic(prev.(ais.StaticVoyage), m)
-		}
-		p.statics.Store(m.MMSI, m)
-		atomic.AddInt64(&p.ingested, 1)
-		p.system.Send(p.vesselActor(m.MMSI), m)
-	case ForwardedCellPos:
-		cl.received.Inc(uint64(v.Cell), 1)
-		p.system.Send(p.proximityActor(v.Cell), cellPosMsg{
-			mmsi: v.MMSI, pos: geo.Point{Lat: v.Lat, Lon: v.Lon}, at: v.At,
-		})
-	case ForwardedForecast:
-		cl.received.Inc(uint64(v.Cell), 1)
-		p.system.Send(p.collisionActor(v.Cell), forecastMsg{forecast: v.Forecast, at: v.At})
 	}
 }
 

@@ -308,8 +308,11 @@ func TestDrainWaitsForForwardFlush(t *testing.T) {
 // must report the pair exactly once. Without the owner rule every cell
 // holding both forecasts sweeps the pair and each worker's cooldown
 // only covers its own cells: the cluster reported the pair once per
-// worker. The cell sets that decide the owner ride ForwardedForecast,
-// so the cluster case also proves they cross the forward topic intact.
+// worker. The cell sets that decide the owner ride the Forwarded
+// envelope, so the cluster cases also prove they cross the forward
+// topic intact; the durable case sends every report and a static
+// document through the other worker, so each one crosses a gob-encoded
+// forward topic before its owner processes it.
 func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 	start := geo.Point{Lat: 35, Lon: 21}
 	// Head-on at 12 kn each, 6 km apart: the forecasts meet within
@@ -357,10 +360,12 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		}
 	})
 
-	t.Run("two-workers", func(t *testing.T) {
+	// twoWorkers runs the pair across a two-worker cluster over br and
+	// returns the workers. viaOther ingests each report on the worker
+	// that does not own its vessel.
+	twoWorkers := func(t *testing.T, br *broker.Broker, viaOther bool) (a, b *Pipeline) {
 		store := kvstore.New()
-		defer store.Close()
-		br := broker.New()
+		t.Cleanup(store.Close)
 		coord, err := cluster.NewCoordinator(cluster.CoordinatorOptions{
 			Partitions:       8,
 			HeartbeatTimeout: time.Minute,
@@ -368,11 +373,11 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer coord.Close()
-		a := newClusterWorker(t, store, br, coord, "a", events.NewKinematicForecaster(), nil)
-		defer a.Shutdown(5 * time.Second)
-		b := newClusterWorker(t, store, br, coord, "b", events.NewKinematicForecaster(), nil)
-		defer b.Shutdown(5 * time.Second)
+		t.Cleanup(coord.Close)
+		a = newClusterWorker(t, store, br, coord, "a", events.NewKinematicForecaster(), nil)
+		t.Cleanup(func() { a.Shutdown(5 * time.Second) })
+		b = newClusterWorker(t, store, br, coord, "b", events.NewKinematicForecaster(), nil)
+		t.Cleanup(func() { b.Shutdown(5 * time.Second) })
 		waitFor(t, 15*time.Second, "4/4 partition split", func() bool {
 			return a.Stats().Cluster.OwnedPartitions == 4 && b.Stats().Cluster.OwnedPartitions == 4
 		})
@@ -383,7 +388,7 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		for i := range tracks {
 			r, _ := report(i, 0)
 			f, _ := events.NewKinematicForecaster().ForecastTrack([]ais.PositionReport{r})
-			sets[i] = tracer.Cells(f, DefaultConfig(nil).CollisionResolution)
+			sets[i] = tracer.Cells(f, collisionResolution)
 		}
 		onA, onB := 0, 0
 		for _, c := range sets[0] {
@@ -402,7 +407,7 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			for i := range tracks {
 				r, at := report(i, step)
-				if a.OwnsKey(uint64(r.MMSI)) {
+				if a.OwnsKey(uint64(r.MMSI)) != viaOther {
 					a.Ingest(r, at)
 				} else {
 					b.Ingest(r, at)
@@ -412,6 +417,56 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		}
 		if n := pairEvents(a, b); n != 1 {
 			t.Fatalf("pair reported %d times in one cooldown across two workers, want 1", n)
+		}
+		return a, b
+	}
+
+	t.Run("two-workers", func(t *testing.T) {
+		twoWorkers(t, broker.New(), false)
+	})
+
+	t.Run("two-workers-durable", func(t *testing.T) {
+		RegisterClusterTypes()
+		br, err := broker.OpenDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { br.Close() })
+		a, b := twoWorkers(t, br, true)
+
+		// Every report was forwarded once and accepted by its owner only.
+		var fwd int64
+		for _, p := range []*Pipeline{a, b} {
+			owned := int64(0)
+			for _, tr := range tracks {
+				if p.OwnsKey(uint64(tr.mmsi)) {
+					owned += steps
+				}
+			}
+			st := p.Stats()
+			if st.Messages != owned {
+				t.Fatalf("worker %s accepted %d reports, want the %d of its own vessels", st.Cluster.WorkerID, st.Messages, owned)
+			}
+			fwd += st.Cluster.Forwards
+		}
+		if fwd < int64(len(tracks)*steps) {
+			t.Fatalf("%d records forwarded, want at least the %d reports", fwd, len(tracks)*steps)
+		}
+
+		// A static document ingested on the other worker reaches the
+		// owner's statics cache.
+		mmsi := tracks[0].mmsi
+		owner, other := a, b
+		if !a.OwnsKey(uint64(mmsi)) {
+			owner, other = b, a
+		}
+		other.Ingest(ais.StaticVoyage{MMSI: mmsi, Name: "DURABLE", ShipType: 70}, t0)
+		drainCluster(t, br, a, b)
+		if st, ok := owner.Static(mmsi); !ok || st.Name != "DURABLE" || st.ShipType != 70 {
+			t.Fatalf("owner's static cache holds %+v (ok=%v), want the forwarded document", st, ok)
+		}
+		if _, ok := other.Static(mmsi); ok {
+			t.Fatal("the forwarding worker cached a static document it does not own")
 		}
 	})
 }

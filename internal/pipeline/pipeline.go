@@ -25,7 +25,6 @@ import (
 	"seatwin/internal/congestion"
 	"seatwin/internal/events"
 	"seatwin/internal/feed"
-	"seatwin/internal/hexgrid"
 	"seatwin/internal/kvstore"
 	"seatwin/internal/lvrf"
 	"seatwin/internal/metrics"
@@ -39,18 +38,10 @@ type Config struct {
 	// actors (the paper mounts one S-VRF instance per process). It must
 	// be safe for concurrent use.
 	Forecaster events.TrackForecaster
-	// ProximityResolution is the hexgrid resolution of the cell actors
-	// (grid "M" in §3); CollisionResolution that of the collision
-	// actors ("K").
-	ProximityResolution int
-	CollisionResolution int
 	// Collision, Proximity and SwitchOff parameterise the detectors.
 	Collision events.CollisionConfig
 	Proximity events.ProximityConfig
 	SwitchOff events.SwitchOffConfig
-	// HistoryLimit bounds the reports retained per vessel actor; it
-	// must cover the model's input requirement with margin.
-	HistoryLimit int
 	// Writers is the number of writer actors (the paper runs one but
 	// supports several).
 	Writers int
@@ -105,17 +96,27 @@ type Config struct {
 	Cluster *ClusterConfig
 }
 
+// The grid sizes of the paper's §3 and the vessel history bound.
+const (
+	// proximityResolution is the hexgrid resolution of the cell actors
+	// (grid "M" in §3): ~1.1 km cells for 500 m proximity.
+	proximityResolution = 9
+	// collisionResolution is that of the collision actors ("K"): ~4.5 km
+	// cells for 30-minute forecasts.
+	collisionResolution = 7
+	// historyLimit bounds the reports retained per vessel actor; it
+	// covers the model's input requirement with margin.
+	historyLimit = 48
+)
+
 // DefaultConfig returns the paper's deployment shape.
 func DefaultConfig(fc events.TrackForecaster) Config {
 	return Config{
-		Forecaster:          fc,
-		ProximityResolution: 9, // ~1.1 km cells for 500 m proximity
-		CollisionResolution: 7, // ~4.5 km cells for 30-minute forecasts
-		Collision:           events.DefaultCollisionConfig(),
-		Proximity:           events.DefaultProximityConfig(),
-		SwitchOff:           events.DefaultSwitchOffConfig(),
-		HistoryLimit:        48,
-		Writers:             1,
+		Forecaster: fc,
+		Collision:  events.DefaultCollisionConfig(),
+		Proximity:  events.DefaultProximityConfig(),
+		SwitchOff:  events.DefaultSwitchOffConfig(),
+		Writers:    1,
 	}
 }
 
@@ -294,9 +295,6 @@ func New(cfg Config) (_ *Pipeline, err error) {
 	}
 	if err := cfg.Collision.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if cfg.HistoryLimit < 24 {
-		cfg.HistoryLimit = 48
 	}
 	if cfg.Writers <= 0 {
 		cfg.Writers = 1
@@ -505,7 +503,7 @@ func (p *Pipeline) saveCheckpointFields(key string, mmsi ais.MMSI, reports []ais
 }
 
 // loadCheckpoint rehydrates one vessel's history window, bounded by
-// HistoryLimit. ok is false when there is no usable checkpoint — a
+// historyLimit. ok is false when there is no usable checkpoint — a
 // corrupt or unreadable one degrades to a cold start and is counted.
 func (p *Pipeline) loadCheckpoint(mmsi ais.MMSI) ([]ais.PositionReport, bool) {
 	hint := uint64(mmsi)
@@ -523,27 +521,46 @@ func (p *Pipeline) loadCheckpoint(mmsi ais.MMSI) ([]ais.PositionReport, bool) {
 		return nil, false
 	}
 	reports := snap.Reports
-	if len(reports) > p.cfg.HistoryLimit {
-		reports = reports[len(reports)-p.cfg.HistoryLimit:]
+	if len(reports) > historyLimit {
+		reports = reports[len(reports)-historyLimit:]
 	}
 	p.ckptRestores.Inc(hint, 1)
 	return reports, true
 }
 
 // Ingest routes one decoded AIS message into the pipeline: the entry
-// point used by broker consumers and direct feeds alike.
+// point used by direct feeds.
 func (p *Pipeline) Ingest(msg ais.Message, receivedAt time.Time) {
 	if atomic.LoadInt32(&p.closed) == 1 {
 		return
 	}
 	switch m := msg.(type) {
 	case ais.StaticVoyage:
-		// A foreign vessel's static document rides the forward topic to
-		// its owner, whose shared cache needs it for the merge.
-		if cl := p.cl; cl != nil && !cl.owns(uint64(m.MMSI)) {
-			cl.forwardStatic(m)
-			return
-		}
+		p.route(kindVessel, uint64(m.MMSI), m)
+	case ais.PositionReport:
+		p.route(kindVessel, uint64(m.MMSI), posMsg{Report: m, ReceivedAt: receivedAt})
+	}
+}
+
+// route is the one place that chooses where a keyed message goes: the
+// actor of kind serving entity id on this worker when the worker owns
+// id, otherwise the forward topic of id's owning partition.
+func (p *Pipeline) route(kind uint8, id uint64, msg any) {
+	if !p.OwnsKey(id) {
+		p.cl.forward(id, Forwarded{Kind: kind, ID: id, Msg: msg})
+		return
+	}
+	p.deliver(kind, id, msg)
+}
+
+// deliver hands msg to this worker's actor of kind serving entity id:
+// the one local handoff, for locally ingested and forwarded messages
+// alike.
+func (p *Pipeline) deliver(kind uint8, id uint64, msg any) {
+	switch m := msg.(type) {
+	case posMsg:
+		p.messages.Inc(id, 1)
+	case ais.StaticVoyage:
 		// Static info is cached in shared memory at ingestion, available
 		// to every actor without a message round-trip (§3). Class B
 		// type 24 messages arrive as partial documents (part A: name;
@@ -552,17 +569,12 @@ func (p *Pipeline) Ingest(msg ais.Message, receivedAt time.Time) {
 			m = mergeStatic(prev.(ais.StaticVoyage), m)
 		}
 		p.statics.Store(m.MMSI, m)
-		atomic.AddInt64(&p.ingested, 1)
-		p.system.Send(p.vesselActor(m.MMSI), m)
-	case ais.PositionReport:
-		if cl := p.cl; cl != nil && !cl.owns(uint64(m.MMSI)) {
-			cl.forwardPosition(m, receivedAt)
-			return
-		}
-		p.messages.Inc(uint64(m.MMSI), 1)
-		atomic.AddInt64(&p.ingested, 1)
-		p.system.Send(p.vesselActor(m.MMSI), posMsg{report: m, receivedAt: receivedAt})
+		msg = m
 	}
+	if kind == kindVessel {
+		atomic.AddInt64(&p.ingested, 1)
+	}
+	p.system.Send(p.actorOf(kind, id), msg)
 }
 
 // mergeStatic folds a possibly-partial static document (a type 24
@@ -594,13 +606,6 @@ func mergeStatic(prev, next ais.StaticVoyage) ais.StaticVoyage {
 		out.Destination = next.Destination
 	}
 	return out
-}
-
-// TimedMessage pairs a decoded AIS message with its receive time, the
-// unit of batched ingestion.
-type TimedMessage struct {
-	Msg        ais.Message
-	ReceivedAt time.Time
 }
 
 // batchGroup collects one vessel's messages within a batch so the
@@ -658,38 +663,41 @@ func (b *ingestBatcher) release() {
 	batcherPool.Put(b)
 }
 
-// IngestBatch routes one poll's worth of messages into the pipeline,
-// grouping position reports by MMSI and delivering each vessel's group
-// as one mailbox push (see actor.System.SendBatch). Per-vessel order is
-// preserved; cross-vessel order was never observable (distinct actors).
-// Static voyage documents are rare and take the single-message path.
-// Returns how many messages were accepted.
-func (p *Pipeline) IngestBatch(batch []TimedMessage) int {
-	if atomic.LoadInt32(&p.closed) == 1 || len(batch) == 0 {
+// IngestBatch routes one poll's worth of broker records carrying
+// ais.Message values into the pipeline, stamping each message with its
+// record's timestamp. Owned position reports are grouped by MMSI and
+// each vessel's group is delivered as one mailbox push (see
+// actor.System.SendBatch). Per-vessel order is preserved; cross-vessel
+// order was never observable (distinct actors). Static voyage
+// documents are rare and, like foreign reports, take route. Returns
+// how many messages were accepted.
+func (p *Pipeline) IngestBatch(recs []broker.Record) int {
+	if atomic.LoadInt32(&p.closed) == 1 || len(recs) == 0 {
 		return 0
 	}
 	b := batcherPool.Get().(*ingestBatcher)
 	n := 0
-	for _, tm := range batch {
-		switch m := tm.Msg.(type) {
+	for i := range recs {
+		switch m := recs[i].Value.(type) {
 		case ais.StaticVoyage:
-			p.Ingest(m, tm.ReceivedAt)
-			n++
+			p.route(kindVessel, uint64(m.MMSI), m)
 		case ais.PositionReport:
-			// Foreign reports are accepted into the cluster (counted in
-			// n) but processed by their owner, so they skip the local
-			// batching entirely.
-			if cl := p.cl; cl != nil && !cl.owns(uint64(m.MMSI)) {
-				cl.forwardPosition(m, tm.ReceivedAt)
-				n++
-				continue
+			msg := posMsg{Report: m, ReceivedAt: recs[i].Timestamp}
+			if p.OwnsKey(uint64(m.MMSI)) {
+				p.messages.Inc(uint64(m.MMSI), 1)
+				atomic.AddInt64(&p.ingested, 1)
+				g := b.group(p, m.MMSI)
+				g.msgs = append(g.msgs, msg)
+			} else {
+				// Foreign reports are accepted into the cluster (counted
+				// in n) but processed by their owner, so they skip the
+				// local batching entirely.
+				p.route(kindVessel, uint64(m.MMSI), msg)
 			}
-			p.messages.Inc(uint64(m.MMSI), 1)
-			atomic.AddInt64(&p.ingested, 1)
-			g := b.group(p, m.MMSI)
-			g.msgs = append(g.msgs, posMsg{report: m, receivedAt: tm.ReceivedAt})
-			n++
+		default:
+			continue
 		}
+		n++
 	}
 	for i := range b.groups {
 		g := &b.groups[i]
@@ -723,16 +731,6 @@ func (p *Pipeline) actorOf(kind uint8, id uint64) *actor.PID {
 // vesselActor returns the actor of a MMSI.
 func (p *Pipeline) vesselActor(mmsi ais.MMSI) *actor.PID {
 	return p.actorOf(kindVessel, uint64(mmsi))
-}
-
-// proximityActor returns the cell actor of a proximity cell.
-func (p *Pipeline) proximityActor(cell hexgrid.Cell) *actor.PID {
-	return p.actorOf(kindProximity, uint64(cell))
-}
-
-// collisionActor returns the collision actor of a collision cell.
-func (p *Pipeline) collisionActor(cell hexgrid.Cell) *actor.PID {
-	return p.actorOf(kindCollision, uint64(cell))
 }
 
 // idleTimeout resolves the cell-passivation setting.
@@ -872,22 +870,12 @@ func (p *Pipeline) ConsumeLoop(c RecordConsumer, pollWait time.Duration) int {
 	return n
 }
 
-// timedBatchPool recycles the per-round record->TimedMessage staging
-// slice of consumeRound (concurrent ConsumeLoops each draw their own).
-var timedBatchPool = sync.Pool{
-	New: func() any {
-		s := make([]TimedMessage, 0, 512)
-		return &s
-	},
-}
-
 // consumeRound runs one poll/ingest/commit round, converting a panic
 // into an error so the loop above can back off and retry. The round
-// stages the poll into a TimedMessage batch and hands it to
-// IngestBatch, so each vessel's reports in the poll cost one mailbox
-// push instead of one per report. Commit still only runs after the
-// whole batch was enqueued (at-least-once is untouched: a faulted
-// round never commits and redelivers).
+// hands the poll to IngestBatch, so each vessel's reports in the poll
+// cost one mailbox push instead of one per report. Commit still only
+// runs after the whole batch was enqueued (at-least-once is untouched:
+// a faulted round never commits and redelivers).
 func (p *Pipeline) consumeRound(c RecordConsumer, pollWait time.Duration) (ingested int, closed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -898,19 +886,7 @@ func (p *Pipeline) consumeRound(c RecordConsumer, pollWait time.Duration) (inges
 	if recs == nil {
 		return ingested, true, nil
 	}
-	bp := timedBatchPool.Get().(*[]TimedMessage)
-	batch := (*bp)[:0]
-	for _, r := range recs {
-		if msg, ok := r.Value.(ais.Message); ok {
-			batch = append(batch, TimedMessage{Msg: msg, ReceivedAt: r.Timestamp})
-		}
-	}
-	ingested = p.IngestBatch(batch)
-	for i := range batch {
-		batch[i].Msg = nil
-	}
-	*bp = batch[:0]
-	timedBatchPool.Put(bp)
+	ingested = p.IngestBatch(recs)
 	c.Commit()
 	return ingested, false, nil
 }

@@ -128,8 +128,8 @@ func TestProximityAcrossCellBorder(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		a = geo.Destination(base, 90, float64(step)*50)
 		b = geo.Destination(a, 90, 400)
-		ca := cellOf(a, p.cfg.ProximityResolution)
-		cb := cellOf(b, p.cfg.ProximityResolution)
+		ca := cellOf(a, proximityResolution)
+		cb := cellOf(b, proximityResolution)
 		if ca != cb {
 			found = true
 			break

@@ -47,12 +47,12 @@ func TestWarmLookupsAllocateNothing(t *testing.T) {
 	const mmsi ais.MMSI = 239000780
 	cell := hexgrid.LatLonToCell(geo.Point{Lat: 37.5, Lon: 24.5}, 6)
 	p.vesselActor(mmsi)
-	p.proximityActor(cell)
-	p.collisionActor(cell)
+	p.actorOf(kindProximity, uint64(cell))
+	p.actorOf(kindCollision, uint64(cell))
 	for name, lookup := range map[string]func(){
-		"vesselActor":    func() { p.vesselActor(mmsi) },
-		"proximityActor": func() { p.proximityActor(cell) },
-		"collisionActor": func() { p.collisionActor(cell) },
+		"vessel":    func() { p.vesselActor(mmsi) },
+		"proximity": func() { p.actorOf(kindProximity, uint64(cell)) },
+		"collision": func() { p.actorOf(kindCollision, uint64(cell)) },
 	} {
 		if avg := testing.AllocsPerRun(1000, lookup); avg != 0 {
 			t.Errorf("warm %s lookup allocates %.2f/op, want 0", name, avg)
