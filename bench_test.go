@@ -167,14 +167,13 @@ func BenchmarkGetOrSpawnParallel(b *testing.B) {
 
 // BenchmarkLiveFeedEndToEnd measures the full push path: AIS reports
 // ingested into the pipeline, processed by vessel actors, persisted by
-// writer actors, and fanned out by the live-feed hub to thousands of
+// the writer actor, and fanned out by the live-feed hub to thousands of
 // concurrently-consuming subscribers — the Figure 2 middleware serving
 // push instead of poll.
 func BenchmarkLiveFeedEndToEnd(b *testing.B) {
 	hub := feed.NewHub(feed.Options{RegionResolution: 7})
 	defer hub.Close()
 	cfg := pipeline.DefaultConfig(events.NewKinematicForecaster())
-	cfg.Writers = 4
 	cfg.Feed = hub
 	p, err := pipeline.New(cfg)
 	if err != nil {
@@ -229,7 +228,7 @@ func BenchmarkLiveFeedEndToEnd(b *testing.B) {
 				Lon:  20 + float64(v/64)*0.2 + float64(i/fleet)*0.001,
 				SOG:  12, COG: 90,
 				Timestamp: ts,
-			}, ts)
+			})
 		}
 	})
 	p.Drain(60 * time.Second)
@@ -432,34 +431,6 @@ func BenchmarkAblation_BiLSTMvsLSTM(b *testing.B) {
 			b.ReportMetric(ade, "mean-ADE-m")
 		})
 	}
-}
-
-// BenchmarkAblation_EventFanout measures what the proximity/collision
-// fan-out costs the vessel actors: the full pipeline against one with
-// the event sharing disabled.
-func BenchmarkAblation_EventFanout(b *testing.B) {
-	run := func(b *testing.B, disable bool) {
-		cfg := pipeline.DefaultConfig(events.NewKinematicForecaster())
-		cfg.DisableEventFanout = disable
-		p, err := pipeline.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Shutdown(5 * time.Second)
-		res, err := pipeline.RunScalability(p, pipeline.ScalabilityConfig{
-			Vessels:    2000,
-			Messages:   b.N,
-			Seed:       3,
-			Consumers:  4,
-			Partitions: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Stats.Latency.Mean.Microseconds()), "proc-mean-us")
-	}
-	b.Run("full-fanout", func(b *testing.B) { run(b, false) })
-	b.Run("no-fanout", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkAblation_VTFFDirectModels scores the direct strategy's

@@ -64,7 +64,7 @@ func main() {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Timestamp.Before(all[j].Timestamp) })
 	for _, r := range all {
-		p.Ingest(r, r.Timestamp)
+		p.Ingest(r)
 	}
 	p.Drain(10 * time.Second)
 

@@ -115,7 +115,7 @@ func main() {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Timestamp.Before(all[j].Timestamp) })
 	for _, r := range all {
-		p.Ingest(r, r.Timestamp)
+		p.Ingest(r)
 	}
 	p.Drain(60 * time.Second)
 	time.Sleep(500 * time.Millisecond) // let the consumers print

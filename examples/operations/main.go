@@ -43,7 +43,7 @@ func main() {
 			p.Ingest(ais.PositionReport{
 				MMSI: mmsi, Lat: pos.Lat, Lon: pos.Lon, SOG: sog, COG: cog,
 				Status: ais.StatusUnderWayEngine, Timestamp: at,
-			}, at)
+			})
 		}
 	}
 	feed(237000100, geo.DeadReckon(meet, 12, 270, 900), 90, 12)

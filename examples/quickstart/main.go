@@ -41,7 +41,7 @@ func main() {
 	}
 	origin := geo.Point{Lat: 37.90, Lon: 23.65}
 	for _, v := range fleet {
-		p.Ingest(ais.StaticVoyage{MMSI: v.mmsi, Name: v.name, ShipType: ais.TypeCargo}, start)
+		p.Ingest(ais.StaticVoyage{MMSI: v.mmsi, Name: v.name, ShipType: ais.TypeCargo})
 		for i := 0; i < 5; i++ {
 			at := start.Add(time.Duration(i) * 30 * time.Second)
 			pos := geo.DeadReckon(origin, v.sog, v.cog, at.Sub(start).Seconds())
@@ -49,7 +49,7 @@ func main() {
 				MMSI: v.mmsi, Lat: pos.Lat, Lon: pos.Lon,
 				SOG: v.sog, COG: v.cog, Status: ais.StatusUnderWayEngine,
 				Timestamp: at,
-			}, at)
+			})
 		}
 	}
 	p.Drain(5 * time.Second)

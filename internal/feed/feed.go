@@ -23,11 +23,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seatwin/internal/ais"
 	"seatwin/internal/events"
 	"seatwin/internal/geo"
 	"seatwin/internal/hexgrid"
 	"seatwin/internal/metrics"
+	"seatwin/internal/views"
 )
 
 // Topic prefixes and event-class topics.
@@ -40,16 +40,9 @@ const (
 )
 
 // State is one vessel state frame entering the hub: the writer actor's
-// view of a position report plus the forecast produced from it.
-type State struct {
-	MMSI     ais.MMSI
-	Name     string
-	Lat, Lon float64
-	SOG, COG float64
-	Status   string
-	TS       time.Time
-	Forecast []events.ForecastPoint
-}
+// view of a position report plus the forecast produced from it, the
+// same value the read-side views stage.
+type State = views.VesselState
 
 // Options configure a Hub.
 type Options struct {

@@ -8,42 +8,38 @@ import (
 	"seatwin/internal/ais"
 	"seatwin/internal/checkpoint"
 	"seatwin/internal/events"
-	"seatwin/internal/feed"
 	"seatwin/internal/geo"
 	"seatwin/internal/hexgrid"
 	"seatwin/internal/views"
 )
 
-// Messages exchanged between the pipeline's actors. The keyed ones a
-// vessel, cell or collision actor receives export their fields: they
-// cross partitions inside a Forwarded envelope, encoded by gob.
+// Messages exchanged between the pipeline's actors. A vessel actor
+// receives the bare ais.PositionReport and ais.StaticVoyage. The keyed
+// ones a cell actor receives export their fields: they cross partitions
+// inside a Forwarded envelope, encoded by gob.
 type (
-	// posMsg carries one position report to a vessel actor.
-	posMsg struct {
-		Report     ais.PositionReport
-		ReceivedAt time.Time
-	}
 	// cellPosMsg shares a vessel position with a proximity cell actor.
 	cellPosMsg struct {
 		MMSI ais.MMSI
 		Pos  geo.Point
 		At   time.Time
 	}
-	// forecastMsg shares a vessel's forecast with a collision actor.
+	// forecastMsg shares a vessel's forecast with a collision cell
+	// actor.
 	forecastMsg struct {
 		Forecast events.Forecast
 		At       time.Time
 	}
-	// eventMsg carries a detected or forecast event to a writer actor.
+	// eventMsg carries a detected or forecast event to the writer actor.
 	eventMsg struct {
 		event events.Event
 	}
-	// stateMsg carries a vessel's current state to a writer actor.
+	// stateMsg carries a vessel's current state to the writer actor.
 	stateMsg struct {
 		report   ais.PositionReport
 		forecast []events.ForecastPoint
 	}
-	// ckptMsg carries a copy of a vessel's history window to its writer
+	// ckptMsg carries a copy of a vessel's history window to the writer
 	// actor for checkpointing (the same batched-write path as states).
 	ckptMsg struct {
 		mmsi    ais.MMSI
@@ -99,14 +95,14 @@ func (v *vesselActor) Receive(c *actor.Context) {
 		}
 	case actor.Stopping:
 		// Passivation and shutdown snapshot the final window directly
-		// (the writer actors may already be stopping), so a clean stop
+		// (the writer actor may already be stopping), so a clean stop
 		// never loses more than nothing.
 		if v.dirty && v.p.ckptInterval() > 0 && len(v.history) > 0 {
 			var enc checkpoint.Encoder
 			v.p.saveCheckpointFields(checkpoint.Key(v.mmsi), v.mmsi, v.history, &enc)
 			v.dirty = false
 		}
-	case posMsg:
+	case ais.PositionReport:
 		start := time.Now()
 		v.onPosition(c, m)
 		v.p.latency.Observe(uint64(v.mmsi), time.Since(start))
@@ -115,8 +111,7 @@ func (v *vesselActor) Receive(c *actor.Context) {
 	}
 }
 
-func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
-	r := m.Report
+func (v *vesselActor) onPosition(c *actor.Context, r ais.PositionReport) {
 	// Out-of-order reports are dropped: per-key broker ordering makes
 	// them rare, but satellite feeds can replay.
 	if n := len(v.history); n > 0 && !r.Timestamp.After(v.history[n-1].Timestamp) {
@@ -145,7 +140,7 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 		if v.sinceCkpt >= interval {
 			v.sinceCkpt = 0
 			v.dirty = false
-			c.Send(v.p.writerFor(v.mmsi),
+			c.Send(v.p.writer,
 				ckptMsg{mmsi: v.mmsi, reports: append([]ais.PositionReport(nil), v.history...)})
 		}
 	}
@@ -170,32 +165,29 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 		}
 	}
 
-	if !v.p.cfg.DisableEventFanout {
-		// Positions go to the proximity cell actor of the report's cell
-		// and near neighbours, so borders cannot hide a close pair. The
-		// cell list is built into the actor's reused scratch slice.
-		pos := geo.Point{Lat: r.Lat, Lon: r.Lon}
-		v.cellScratch = hexgrid.AppendDiskCovering(v.cellScratch[:0], pos, proximityResolution, v.p.cfg.Proximity.ThresholdMeters)
-		// Box the (immutable) message once and share it across every
-		// destination cell instead of re-boxing per Send. Cells are
-		// placed on the ring like vessels: route sends the share of a
-		// cell owned by another partition over its forward topic.
-		var cpm any = cellPosMsg{MMSI: r.MMSI, Pos: pos, At: r.Timestamp}
-		for _, cell := range v.cellScratch {
-			v.p.route(kindProximity, uint64(cell), cpm)
-		}
-		// Forecasts go to the collision actors of every cell the
-		// predicted track crosses plus each nearest neighbour (§5.2:
-		// "the respective cell n and each n+1 nearest cell"), in the
-		// sorted order of the cell set the forecast carries: the
-		// receivers use the sets to agree on the one cell that sweeps
-		// each pair.
-		if haveForecast {
-			forecast.Cells = v.tracer.Cells(forecast, collisionResolution)
-			var fm any = forecastMsg{Forecast: forecast, At: r.Timestamp}
-			for _, id := range forecast.Cells {
-				v.p.route(kindCollision, id, fm)
-			}
+	// Positions go to the proximity cell actor of the report's cell and
+	// near neighbours, so borders cannot hide a close pair. The cell list
+	// is built into the actor's reused scratch slice.
+	pos := geo.Point{Lat: r.Lat, Lon: r.Lon}
+	v.cellScratch = hexgrid.AppendDiskCovering(v.cellScratch[:0], pos, proximityResolution, v.p.cfg.Proximity.ThresholdMeters)
+	// Box the (immutable) message once and share it across every
+	// destination cell instead of re-boxing per Send. Cells are placed on
+	// the ring like vessels: route sends the share of a cell owned by
+	// another partition over its forward topic.
+	var cpm any = cellPosMsg{MMSI: r.MMSI, Pos: pos, At: r.Timestamp}
+	for _, cell := range v.cellScratch {
+		v.p.route(kindProximity, uint64(cell), cpm)
+	}
+	// Forecasts go to the collision actors of every cell the predicted
+	// track crosses plus each nearest neighbour (§5.2: "the respective
+	// cell n and each n+1 nearest cell"), in the sorted order of the cell
+	// set the forecast carries: the receivers use the sets to agree on
+	// the one cell that sweeps each pair.
+	if haveForecast {
+		forecast.Cells = v.tracer.Cells(forecast, collisionResolution)
+		var fm any = forecastMsg{Forecast: forecast, At: r.Timestamp}
+		for _, id := range forecast.Cells {
+			v.p.route(kindCollision, id, fm)
 		}
 	}
 
@@ -204,23 +196,35 @@ func (v *vesselActor) onPosition(c *actor.Context, m posMsg) {
 	if haveForecast {
 		msg.forecast = forecast.Points
 	}
-	c.Send(v.p.writerFor(r.MMSI), msg)
+	c.Send(v.p.writer, msg)
 }
 
 // emit is how every actor publishes a detected or forecast event: it
-// is logged and sent to the writer of its first vessel, which persists
-// and publishes it.
+// only sends it to the writer, which applies the collision-pair
+// cooldown, then logs, persists and publishes it.
+//
+// emit stays out of line: inlined, it grew cellActor.Receive's frame
+// and, on a dense strait, about doubled the measured proximity update
+// time (events.prox_update_us), likely from the stack growth the larger
+// frame costs the fresh goroutine each idle-to-busy wakeup starts.
+//
+//go:noinline
 func (p *Pipeline) emit(c *actor.Context, e events.Event) {
-	p.log.Append(e)
-	c.Send(p.writerFor(e.A), eventMsg{event: e})
+	c.Send(p.writer, eventMsg{event: e})
 }
 
-// cellActor detects live close proximity among the vessels reporting
-// inside its hexgrid cell neighbourhood.
+// cellActor is the actor of one hexgrid cell. It runs its family's
+// detector over the traffic shared into the cell: a proximity cell (grid
+// M) detects live close pairs among the reported positions, a collision
+// cell (grid K) forecasts collisions among the predicted trajectories
+// crossing it.
 type cellActor struct {
-	p          *Pipeline
-	detector   *events.GridProximityDetector
-	passivator *passivator
+	p *Pipeline
+	// Exactly one detector is set, by the actor's kind.
+	prox       *events.GridProximityDetector
+	coll       *events.GridDetector
+	m          *detectorMetrics // the family's aggregates
+	passivator passivator
 
 	// Metric bookkeeping: the detector's stats are cumulative and its
 	// occupancy a level, so the actor pushes deltas into the pipeline's
@@ -237,93 +241,56 @@ func (a *cellActor) Receive(c *actor.Context) {
 		// The occupancy gauge drops this cell's tracked entries when it
 		// passivates — handled before touch so the stop is not mistaken
 		// for activity (touch would re-arm the idle timer).
-		a.p.proxDet.tracked.Inc(a.hint, -a.tracked)
+		a.m.tracked.Inc(a.hint, -a.tracked)
 		a.tracked = 0
 		return
 	}
 	if a.passivator.touch(c) {
 		return
 	}
-	m, ok := c.Message().(cellPosMsg)
-	if !ok {
-		return
-	}
-	a.hint = uint64(m.MMSI)
-	start := time.Now()
-	evs := a.detector.Update(m.MMSI, m.Pos, m.At)
-	a.p.proxDet.updateLat.Observe(a.hint, time.Since(start))
-	a.pushDetectorStats()
-	for _, e := range evs {
-		a.p.emit(c, e)
-	}
-}
-
-// pushDetectorStats folds the update's effect into the pipeline-wide
-// aggregates: the occupancy delta and the candidate funnel.
-func (a *cellActor) pushDetectorStats() {
-	size := int64(a.detector.Size())
-	a.p.proxDet.tracked.Inc(a.hint, size-a.tracked)
-	a.tracked = size
-	st := a.detector.Stats()
-	a.p.proxDet.candidates.Inc(a.hint, st.Candidates-a.lastStats.Candidates)
-	a.p.proxDet.checked.Inc(a.hint, st.Checked-a.lastStats.Checked)
-	a.p.proxDet.evictions.Inc(a.hint, st.Evicted-a.lastStats.Evicted)
-	a.lastStats = st
-}
-
-// collisionActor forecasts collisions among the predicted trajectories
-// crossing its cell.
-type collisionActor struct {
-	p          *Pipeline
-	detector   *events.GridDetector
-	passivator *passivator
-
-	tracked   int64
-	lastStats events.DetectorStats
-	hint      uint64
-}
-
-// Receive implements actor.Actor.
-func (a *collisionActor) Receive(c *actor.Context) {
-	if _, stopping := c.Message().(actor.Stopping); stopping {
-		a.p.collDet.tracked.Inc(a.hint, -a.tracked)
-		a.tracked = 0
-		return
-	}
-	if a.passivator.touch(c) {
-		return
-	}
-	m, ok := c.Message().(forecastMsg)
-	if !ok {
-		return
-	}
-	a.hint = uint64(m.Forecast.MMSI)
-	start := time.Now()
-	evs := a.detector.Update(m.Forecast, m.At)
-	a.p.collDet.updateLat.Observe(a.hint, time.Since(start))
-	a.pushDetectorStats()
-	for _, e := range evs {
+	var evs []events.Event
+	var start time.Time
+	switch m := c.Message().(type) {
+	case cellPosMsg:
+		a.hint = uint64(m.MMSI)
+		start = time.Now()
+		evs = a.prox.Update(m.MMSI, m.Pos, m.At)
+	case forecastMsg:
 		// The detector sweeps only the pairs this cell owns, so a pass
-		// emits each pair once; the pipeline-wide cooldown suppresses
-		// the repeats of later passes.
-		if !a.p.shouldEmitPair(e.PairKey(), m.At, 5*time.Minute) {
-			continue
-		}
+		// emits each pair once; the writer's cooldown suppresses the
+		// repeats of later passes.
+		a.hint = uint64(m.Forecast.MMSI)
+		start = time.Now()
+		evs = a.coll.Update(m.Forecast, m.At)
+	default:
+		return
+	}
+	a.m.updateLat.Observe(a.hint, time.Since(start))
+	a.pushDetectorStats()
+	for _, e := range evs {
 		a.p.emit(c, e)
 	}
 }
 
-// pushDetectorStats mirrors cellActor.pushDetectorStats for the
-// collision family.
-func (a *collisionActor) pushDetectorStats() {
-	size := int64(a.detector.Size())
-	a.p.collDet.tracked.Inc(a.hint, size-a.tracked)
-	a.tracked = size
-	st := a.detector.Stats()
-	a.p.collDet.candidates.Inc(a.hint, st.Candidates-a.lastStats.Candidates)
-	a.p.collDet.deferred.Inc(a.hint, st.Deferred-a.lastStats.Deferred)
-	a.p.collDet.checked.Inc(a.hint, st.Checked-a.lastStats.Checked)
-	a.p.collDet.evictions.Inc(a.hint, st.Evicted-a.lastStats.Evicted)
+// pushDetectorStats folds the update's effect into the family's
+// aggregates: the occupancy delta and the candidate funnel. Deferred
+// is pushed only when it moved: proximity never defers.
+func (a *cellActor) pushDetectorStats() {
+	var size int
+	var st events.DetectorStats
+	if a.coll != nil {
+		size, st = a.coll.Size(), a.coll.Stats()
+	} else {
+		size, st = a.prox.Size(), a.prox.Stats()
+	}
+	a.m.tracked.Inc(a.hint, int64(size)-a.tracked)
+	a.tracked = int64(size)
+	a.m.candidates.Inc(a.hint, st.Candidates-a.lastStats.Candidates)
+	if d := st.Deferred - a.lastStats.Deferred; d != 0 {
+		a.m.deferred.Inc(a.hint, d)
+	}
+	a.m.checked.Inc(a.hint, st.Checked-a.lastStats.Checked)
+	a.m.evictions.Inc(a.hint, st.Evicted-a.lastStats.Evicted)
 	a.lastStats = st
 }
 
@@ -332,18 +299,28 @@ func (a *collisionActor) pushDetectorStats() {
 // the read side the HTTP API serves.
 //
 // The actor is single-threaded, so its encoding scratch (field encoder,
-// event-member buffer, per-vessel key cache) is reused across messages
-// without locks — the write path allocates almost nothing per state.
+// event-member buffer, per-vessel key cache) and the collision-pair
+// cooldown are reused across messages without locks — the write path
+// allocates almost nothing per state. Every field works from its zero
+// value.
 type writerActor struct {
 	p       *Pipeline
 	enc     fieldEncoder
 	ckptEnc checkpoint.Encoder
 	evBuf   []byte
 	// keys caches the rendered store key and 9-digit member string per
-	// vessel routed to this writer (bounded by the fleet slice this
-	// writer owns; entries are tiny).
+	// vessel (bounded by the fleet; entries are tiny).
 	keys map[ais.MMSI]writerKeys
+	// pairSeen is the collision-pair cooldown: when each vessel pair
+	// (events.PairKey) was last emitted, by detection time. Every event
+	// of the process reaches this one actor, so it needs no lock.
+	pairSeen map[uint64]time.Time
 }
+
+// pairCooldown is how long repeats of an emitted collision pair are
+// suppressed. The owner rule emits a pair from one cell per pass, but
+// later passes (possibly owned by another cell) repeat it.
+const pairCooldown = 5 * time.Minute
 
 // writerKeys are the per-vessel strings a state write needs.
 type writerKeys struct {
@@ -388,30 +365,24 @@ func (w *writerActor) writeState(m stateMsg) {
 	ks := w.keysFor(m.report.MMSI)
 	st := w.p.kv
 	static, haveStatic := w.p.Static(m.report.MMSI)
-	if hub := w.p.cfg.Feed; hub != nil {
-		// Push transports: the hub's bounded per-subscriber rings
-		// guarantee this publish never blocks the writer.
-		hub.PublishState(feed.State{
-			MMSI: m.report.MMSI, Name: static.Name,
-			Lat: m.report.Lat, Lon: m.report.Lon,
-			SOG: m.report.SOG, COG: m.report.COG,
-			Status:   m.report.Status.String(),
-			TS:       m.report.Timestamp,
-			Forecast: m.forecast,
-		})
-	}
-	// The read-side views stage the state in a sharded buffer; the
-	// snapshot rebuild happens on the views' own refresh cadence, so this
-	// is a few field copies plus one stripe lock — never a snapshot
-	// encode on the writer's hot path.
-	w.p.views.ApplyState(views.VesselState{
+	vs := views.VesselState{
 		MMSI: m.report.MMSI, Name: static.Name,
 		Lat: m.report.Lat, Lon: m.report.Lon,
 		SOG: m.report.SOG, COG: m.report.COG,
 		Status:   m.report.Status.String(),
 		TS:       m.report.Timestamp,
 		Forecast: m.forecast,
-	})
+	}
+	if hub := w.p.cfg.Feed; hub != nil {
+		// Push transports: the hub's bounded per-subscriber rings
+		// guarantee this publish never blocks the writer.
+		hub.PublishState(vs)
+	}
+	// The read-side views stage the state in a sharded buffer; the
+	// snapshot rebuild happens on the views' own refresh cadence, so this
+	// is a few field copies plus one stripe lock — never a snapshot
+	// encode on the writer's hot path.
+	w.p.views.ApplyState(vs)
 	// One batched write per state update — a single lock acquisition on
 	// the store — with the whole document encoded into the writer's
 	// reused field encoder: every value is appended into one shared
@@ -455,7 +426,35 @@ func (w *writerActor) writeState(m stateMsg) {
 	})
 }
 
+// admitPair reports whether a collision event is the first of its pair
+// within pairCooldown, and records it.
+func (w *writerActor) admitPair(e events.Event) bool {
+	key, at := e.PairKey(), e.DetectedAt
+	if last, ok := w.pairSeen[key]; ok && at.Sub(last) < pairCooldown {
+		return false
+	}
+	if w.pairSeen == nil {
+		w.pairSeen = make(map[uint64]time.Time)
+	}
+	// Opportunistic cleanup keeps the map bounded.
+	if len(w.pairSeen) > 1<<16 {
+		for k, t := range w.pairSeen {
+			if at.Sub(t) > pairCooldown {
+				delete(w.pairSeen, k)
+			}
+		}
+	}
+	w.pairSeen[key] = at
+	return true
+}
+
 func (w *writerActor) writeEvent(e events.Event) {
+	if e.Kind == events.KindCollisionForecast && !w.admitPair(e) {
+		return
+	}
+	// Logged here, after the cooldown, so Stats.Events counts each
+	// emitted event once.
+	w.p.log.Append(e)
 	if hub := w.p.cfg.Feed; hub != nil {
 		hub.PublishEvent(e)
 	}

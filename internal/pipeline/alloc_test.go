@@ -20,19 +20,18 @@ func (noForecast) ForecastTrack([]ais.PositionReport) (events.Forecast, bool) {
 	return events.Forecast{}, false
 }
 
-// TestIngestSteadyStateAllocs gates the tentpole: a steady-state ingest
-// (warm actor, full history window, no forecast, no fan-out) must stay
-// within the PR's alloc budget per report, end to end through the
-// writer's store write. The budget is deliberately above the measured
-// value (~5/op) but far below the ~140/op the unbatched map-encoding
-// path cost — a regression that reintroduces per-report key building,
-// map documents or RFC3339 Format calls trips it immediately.
+// TestIngestSteadyStateAllocs gates a steady-state ingest (warm actor,
+// full history window, no forecast, so proximity fan-out only) to an
+// alloc budget per report, end to end through the writer's store write.
+// The budget is deliberately above the measured value (~4/report) but
+// far below the ~140/report the unbatched map-encoding path cost — a
+// regression that reintroduces per-report key building, map documents
+// or RFC3339 Format calls trips it immediately.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs quiesced runs")
 	}
 	cfg := DefaultConfig(noForecast{})
-	cfg.DisableEventFanout = true
 	cfg.CheckpointInterval = -1
 	p, err := New(cfg)
 	if err != nil {
@@ -55,7 +54,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 			p.Ingest(ais.PositionReport{
 				MMSI: mmsi, Lat: 37.5, Lon: 24.5, SOG: 12, COG: 90,
 				Status: ais.StatusUnderWayEngine, Timestamp: at,
-			}, at)
+			})
 		}
 		p.Drain(5 * time.Second)
 	})

@@ -87,7 +87,7 @@ type Forwarded struct {
 // producing.
 func RegisterClusterTypes() {
 	broker.RegisterType(Forwarded{})
-	broker.RegisterType(posMsg{})
+	broker.RegisterType(ais.PositionReport{})
 	broker.RegisterType(ais.StaticVoyage{})
 	broker.RegisterType(cellPosMsg{})
 	broker.RegisterType(forecastMsg{})

@@ -21,15 +21,12 @@ import (
 // store and broker. CheckpointInterval is 1 so every accepted report
 // persists a window — partition handoff must never depend on lucky
 // checkpoint timing.
-func newClusterWorker(t *testing.T, store *kvstore.Store, br *broker.Broker, coord *cluster.Coordinator, id string, f events.TrackForecaster, in *chaos.Injector, mods ...func(*Config)) *Pipeline {
+func newClusterWorker(t *testing.T, store *kvstore.Store, br *broker.Broker, coord *cluster.Coordinator, id string, f events.TrackForecaster, in *chaos.Injector) *Pipeline {
 	t.Helper()
 	cfg := DefaultConfig(f)
 	cfg.Store = store
 	cfg.CheckpointInterval = 1
 	cfg.Chaos = in
-	for _, mod := range mods {
-		mod(&cfg)
-	}
 	cfg.Cluster = &ClusterConfig{
 		WorkerID:          id,
 		Membership:        coord,
@@ -46,13 +43,13 @@ func newClusterWorker(t *testing.T, store *kvstore.Store, br *broker.Broker, coo
 
 // clusterReport renders report i of a vessel's straight 12 kn track,
 // 30 s apart so every report survives the S-VRF downsampler.
-func clusterReport(mmsi ais.MMSI, start geo.Point, i int) (ais.PositionReport, time.Time) {
+func clusterReport(mmsi ais.MMSI, start geo.Point, i int) ais.PositionReport {
 	at := t0.Add(time.Duration(i) * 30 * time.Second)
 	pos := geo.DeadReckon(start, 12, 90, at.Sub(t0).Seconds())
 	return ais.PositionReport{
 		MMSI: mmsi, Lat: pos.Lat, Lon: pos.Lon, SOG: 12, COG: 90,
 		Status: ais.StatusUnderWayEngine, Timestamp: at,
-	}, at
+	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -150,8 +147,8 @@ func TestClusterTwoWorkerFailover(t *testing.T) {
 	defer a.Shutdown(5 * time.Second)
 	for i, m := range mmsis {
 		for rep := 0; rep < 8; rep++ {
-			r, at := clusterReport(m, starts[i], rep)
-			a.Ingest(r, at)
+			r := clusterReport(m, starts[i], rep)
+			a.Ingest(r)
 		}
 	}
 	drainCluster(t, br, a)
@@ -197,11 +194,11 @@ func TestClusterTwoWorkerFailover(t *testing.T) {
 	// it: every single report must cross the forward path and still
 	// reach its owner exactly once.
 	for i, m := range mmsis {
-		r, at := clusterReport(m, starts[i], 8)
+		r := clusterReport(m, starts[i], 8)
 		if a.OwnsKey(uint64(m)) {
-			b.Ingest(r, at)
+			b.Ingest(r)
 		} else {
-			a.Ingest(r, at)
+			a.Ingest(r)
 		}
 	}
 	drainCluster(t, br, a, b)
@@ -224,8 +221,8 @@ func TestClusterTwoWorkerFailover(t *testing.T) {
 		return b.Stats().CheckpointRestores >= int64(fleet)
 	})
 	for i, m := range mmsis {
-		r, at := clusterReport(m, starts[i], 9)
-		b.Ingest(r, at)
+		r := clusterReport(m, starts[i], 9)
+		b.Ingest(r)
 	}
 	drainCluster(t, br, b)
 	s3 := a.Stats().Forecasts + b.Stats().Forecasts
@@ -266,28 +263,28 @@ func TestDrainWaitsForForwardFlush(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// Event fan-out off: this test pins the Drain/forward contract, and
-	// colocated vessels would otherwise cascade pair events back and
-	// forth through the deliberately slow producer forever.
-	noFanout := func(c *Config) { c.DisableEventFanout = true }
 	in := chaos.New(chaos.Policy{Latency: 30 * time.Millisecond, Seed: 7})
-	a := newClusterWorker(t, store, br, coord, "a", events.NewKinematicForecaster(), in, noFanout)
+	a := newClusterWorker(t, store, br, coord, "a", events.NewKinematicForecaster(), in)
 	defer a.Shutdown(5 * time.Second)
-	b := newClusterWorker(t, store, br, coord, "b", events.NewKinematicForecaster(), nil, noFanout)
+	b := newClusterWorker(t, store, br, coord, "b", events.NewKinematicForecaster(), nil)
 	defer b.Shutdown(5 * time.Second)
 	waitFor(t, 15*time.Second, "4/4 partition split", func() bool {
 		return a.Stats().Cluster.OwnedPartitions == 4 && b.Stats().Cluster.OwnedPartitions == 4
 	})
 
 	// Reports for vessels A does not own: each one enters A's forward
-	// queue and leaves it only through the slow producer.
+	// queue and leaves it only through the slow producer. The vessels are
+	// 0.1° of latitude apart, out of each other's proximity range: their
+	// cell shares still reach A's cells, but no pair event makes A's
+	// writer persist through the slow chaos store, which would hold
+	// Drain for a minute on its own.
 	foreign := 0
 	for m := ais.MMSI(820000001); foreign < 40; m++ {
 		if a.OwnsKey(uint64(m)) {
 			continue
 		}
-		r, at := clusterReport(m, geo.Point{Lat: 35, Lon: 21}, 0)
-		a.Ingest(r, at)
+		r := clusterReport(m, geo.Point{Lat: 35 + 0.1*float64(foreign), Lon: 21}, 0)
+		a.Ingest(r)
 		foreign++
 	}
 
@@ -325,14 +322,14 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		{940000001, start, 90},
 		{940000002, geo.Destination(start, 90, 6000), 270},
 	}
-	report := func(i, step int) (ais.PositionReport, time.Time) {
+	report := func(i, step int) ais.PositionReport {
 		tr := tracks[i]
 		at := t0.Add(time.Duration(step)*30*time.Second + time.Duration(i)*time.Second)
 		pos := geo.DeadReckon(tr.start, 12, tr.cog, at.Sub(t0).Seconds())
 		return ais.PositionReport{
 			MMSI: tr.mmsi, Lat: pos.Lat, Lon: pos.Lon, SOG: 12, COG: tr.cog,
 			Status: ais.StatusUnderWayEngine, Timestamp: at,
-		}, at
+		}
 	}
 	pairEvents := func(workers ...*Pipeline) int {
 		n := 0
@@ -386,7 +383,7 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		var tracer events.CellTracer
 		var sets [2][]uint64
 		for i := range tracks {
-			r, _ := report(i, 0)
+			r := report(i, 0)
 			f, _ := events.NewKinematicForecaster().ForecastTrack([]ais.PositionReport{r})
 			sets[i] = tracer.Cells(f, collisionResolution)
 		}
@@ -406,11 +403,11 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 
 		for step := 0; step < steps; step++ {
 			for i := range tracks {
-				r, at := report(i, step)
+				r := report(i, step)
 				if a.OwnsKey(uint64(r.MMSI)) != viaOther {
-					a.Ingest(r, at)
+					a.Ingest(r)
 				} else {
-					b.Ingest(r, at)
+					b.Ingest(r)
 				}
 			}
 			drainCluster(t, br, a, b)
@@ -460,7 +457,7 @@ func TestClusterPairEmittedOncePerCooldown(t *testing.T) {
 		if !a.OwnsKey(uint64(mmsi)) {
 			owner, other = b, a
 		}
-		other.Ingest(ais.StaticVoyage{MMSI: mmsi, Name: "DURABLE", ShipType: 70}, t0)
+		other.Ingest(ais.StaticVoyage{MMSI: mmsi, Name: "DURABLE", ShipType: 70})
 		drainCluster(t, br, a, b)
 		if st, ok := owner.Static(mmsi); !ok || st.Name != "DURABLE" || st.ShipType != 70 {
 			t.Fatalf("owner's static cache holds %+v (ok=%v), want the forwarded document", st, ok)

@@ -122,7 +122,7 @@ func TestNewRejectsUnalignedCollisionThreshold(t *testing.T) {
 // the Stopping decrement runs before the passivator sees the message.
 func TestDetectionTrackedGaugeDropsOnPassivation(t *testing.T) {
 	cfg := DefaultConfig(events.NewKinematicForecaster())
-	cfg.CellIdleTimeout = 150 * time.Millisecond
+	cfg.cellIdle = 150 * time.Millisecond
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -229,7 +229,7 @@ func TestChaosPipelineSurvivesStoreFaults(t *testing.T) {
 	cfg := DefaultConfig(events.NewKinematicForecaster())
 	cfg.Chaos = in
 	cfg.CheckpointInterval = 4
-	cfg.Retry = retry.Policy{MaxAttempts: 5, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, Multiplier: 2}
+	cfg.retry = retry.Policy{MaxAttempts: 5, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, Multiplier: 2}
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestChaosConsumeLoopDeliversEverything(t *testing.T) {
 	}()
 
 	cfg := DefaultConfig(events.NewKinematicForecaster())
-	cfg.Retry = retry.Policy{MaxAttempts: 3, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond, Multiplier: 2}
+	cfg.retry = retry.Policy{MaxAttempts: 3, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond, Multiplier: 2}
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

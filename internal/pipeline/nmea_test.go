@@ -22,7 +22,7 @@ func ingestLine(p *Pipeline, asm *ais.Assembler, line string, at time.Time) erro
 		return err
 	}
 	if msg != nil {
-		p.Ingest(msg, at)
+		p.Ingest(msg)
 	}
 	return nil
 }

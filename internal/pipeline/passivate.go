@@ -6,32 +6,25 @@ import (
 	"seatwin/internal/actor"
 )
 
-// passivateCheck is the self-message cell and collision actors use to
-// test for idleness.
+// passivateCheck is the self-message cell actors use to test for
+// idleness.
 type passivateCheck struct{}
 
-// passivator stops spatial actors whose cell has gone quiet, bounding
-// the live actor population to the active sea areas. A global fleet
-// touches millions of hexgrid cells over time; without passivation the
-// collision-actor population grows without bound (Akka deployments use
-// entity passivation for exactly this).
+// passivator stops cell actors whose cell has gone quiet for timeout,
+// bounding the live actor population to the active sea areas. A global
+// fleet touches millions of hexgrid cells over time; without
+// passivation the collision-cell population grows without bound (Akka
+// deployments use entity passivation for exactly this).
 type passivator struct {
 	timeout    time.Duration
 	lastActive time.Time
 	scheduled  bool
 }
 
-func newPassivator(timeout time.Duration) *passivator {
-	return &passivator{timeout: timeout}
-}
-
 // touch records activity and arms the idle check; it returns true when
 // the message was a passivateCheck that decided to stop the actor (the
 // caller must then not process further).
 func (pv *passivator) touch(c *actor.Context) (stopped bool) {
-	if pv.timeout <= 0 {
-		return false
-	}
 	now := time.Now()
 	if _, ok := c.Message().(passivateCheck); ok {
 		if now.Sub(pv.lastActive) >= pv.timeout {

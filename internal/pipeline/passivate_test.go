@@ -10,7 +10,7 @@ import (
 
 func TestSpatialActorsPassivateWhenIdle(t *testing.T) {
 	cfg := DefaultConfig(events.NewKinematicForecaster())
-	cfg.CellIdleTimeout = 150 * time.Millisecond
+	cfg.cellIdle = 150 * time.Millisecond
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,22 +45,5 @@ func TestSpatialActorsPassivateWhenIdle(t *testing.T) {
 	p.Drain(5 * time.Second)
 	if len(p.EventLog().ByKind(events.KindProximity)) == 0 {
 		t.Fatal("proximity detection broken after passivation cycle")
-	}
-}
-
-func TestPassivationDisabled(t *testing.T) {
-	cfg := DefaultConfig(events.NewKinematicForecaster())
-	cfg.CellIdleTimeout = -1
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown(2 * time.Second)
-	feedTrack(p, 921000001, geo.Point{Lat: 37.5, Lon: 24.5}, 90, 12, 3, 30*time.Second, t0)
-	p.Drain(5 * time.Second)
-	live := p.System().LiveActors()
-	time.Sleep(300 * time.Millisecond)
-	if got := p.System().LiveActors(); got < live {
-		t.Fatalf("actors passivated despite CellIdleTimeout<0: %d -> %d", live, got)
 	}
 }

@@ -5,9 +5,9 @@
 // switch-offs and fan their positions and forecasts out to cell actors
 // (close-proximity detection, grid size M) and collision actors
 // (collision forecasting, grid size K) keyed by hexgrid cell; all actor
-// outputs flow to writer actors that persist state into the kvstore
-// middleware and the read-side views, from which the HTTP API serves
-// the UI.
+// outputs flow to one writer actor that persists state into the
+// kvstore middleware and the read-side views, from which the HTTP API
+// serves the UI.
 package pipeline
 
 import (
@@ -42,31 +42,21 @@ type Config struct {
 	Collision events.CollisionConfig
 	Proximity events.ProximityConfig
 	SwitchOff events.SwitchOffConfig
-	// Writers is the number of writer actors (the paper runs one but
-	// supports several).
-	Writers int
 	// Store receives the persisted actor states; nil creates one.
 	Store *kvstore.Store
-	// DisableEventFanout turns off proximity/collision sharing (used by
-	// ablation benches to isolate forecasting cost).
-	DisableEventFanout bool
 	// Ports, when non-empty, enables port-congestion monitoring and
 	// prediction over the vessel positions and forecasts (§7 extension;
 	// see internal/congestion).
 	Ports []congestion.Port
-	// CellIdleTimeout passivates cell and collision actors that have
-	// received no traffic for this long, bounding the actor population
-	// to the active sea areas (0 = 5 minutes; negative = never).
-	CellIdleTimeout time.Duration
 	// RouteModel, when non-nil, serves long-term route forecasts and
 	// Patterns of Life over the API (§4.1's L-VRF, integrated "through
 	// API calls" per the paper).
 	RouteModel *lvrf.Model
 	// Feed, when non-nil, receives every vessel state and event for
 	// live fan-out to push subscribers (SSE / TCP feed): the writer
-	// actors publish into the hub directly (see internal/feed).
+	// actor publishes into the hub directly (see internal/feed).
 	Feed *feed.Hub
-	// Views is the read-side serving layer: the writer actors publish
+	// Views is the read-side serving layer: the writer actor publishes
 	// every vessel state and event into it, and the API serves
 	// /api/vessels, /api/events, /api/regions and /api/congestion from
 	// its epoch-swapped snapshots (see internal/views). The pipeline
@@ -85,15 +75,19 @@ type Config struct {
 	// writes and the forecaster (see internal/chaos). The API's read
 	// side stays fault-free so operators can always observe the run.
 	Chaos *chaos.Injector
-	// Retry shapes the backoff loop around store writes and the broker
-	// consume round (zero value = retry.DefaultPolicy()).
-	Retry retry.Policy
 	// Cluster, when non-nil, runs this pipeline as one worker of a
 	// partitioned cluster: keys it does not own are forwarded onto the
 	// owning partition's broker topic instead of being processed
 	// locally (see cluster.go). Nil keeps the single-process fast path
 	// byte-for-byte unchanged.
 	Cluster *ClusterConfig
+
+	// Seams for this package's tests, whose zero values are the
+	// production settings: cellIdle overrides cellIdleTimeout, and retry
+	// the retry.DefaultPolicy() backoff around store writes and the
+	// broker consume round.
+	cellIdle time.Duration
+	retry    retry.Policy
 }
 
 // The grid sizes of the paper's §3 and the vessel history bound.
@@ -107,6 +101,10 @@ const (
 	// historyLimit bounds the reports retained per vessel actor; it
 	// covers the model's input requirement with margin.
 	historyLimit = 48
+	// cellIdleTimeout passivates a cell actor that has received no
+	// traffic for this long of wall-clock time, bounding the actor
+	// population to the active sea areas.
+	cellIdleTimeout = 5 * time.Minute
 )
 
 // DefaultConfig returns the paper's deployment shape.
@@ -116,7 +114,6 @@ func DefaultConfig(fc events.TrackForecaster) Config {
 		Collision:  events.DefaultCollisionConfig(),
 		Proximity:  events.DefaultProximityConfig(),
 		SwitchOff:  events.DefaultSwitchOffConfig(),
-		Writers:    1,
 	}
 }
 
@@ -142,7 +139,9 @@ type Pipeline struct {
 	retryP retry.Policy
 	log    *events.Log
 
-	writers []*actor.PID
+	// writer is the one writer actor every state, event and checkpoint
+	// leaves through (Figure 2).
+	writer *actor.PID
 
 	// props holds each actor kind's Props, built once in New so an
 	// actor lookup builds no closure.
@@ -155,10 +154,6 @@ type Pipeline struct {
 	// trainer publishes a freshly rebuilt lane graph with SetRouteModel
 	// and in-flight requests keep the model they loaded.
 	routeModel atomic.Pointer[lvrf.Model]
-
-	// writerMask routes a vessel to its writer with a power-of-two mask
-	// over the mixed MMSI (len(writers) is rounded up to a power of two).
-	writerMask uint64
 
 	// The per-message observability path is striped: vessel actors record
 	// into per-shard slots keyed by MMSI, so no global lock is taken while
@@ -182,17 +177,10 @@ type Pipeline struct {
 
 	// Event-detection observability (seatwin_events_*): per-family
 	// update timing, candidate funnel and tracked-entry occupancy,
-	// maintained by the cell and collision actors from their detectors'
-	// cumulative stats (delta-pushed, so the actors stay lock-free).
+	// maintained by the cell actors from their detectors' cumulative
+	// stats (delta-pushed, so the actors stay lock-free).
 	proxDet detectorMetrics
 	collDet detectorMetrics
-
-	// Cooldown of pairwise events across passes: the owner rule emits a
-	// collision pair from one cell per pass, but later passes (possibly
-	// owned by another cell) repeat it. The seen-map is sharded by key
-	// hash so concurrent collision actors only contend when their pairs
-	// land in the same stripe.
-	pairShards [pairShardCount]pairShard
 
 	// congestion is non-nil when Config.Ports was set.
 	congestion *congestion.Monitor
@@ -200,16 +188,6 @@ type Pipeline struct {
 	// cl is the cluster worker runtime (nil in single-process mode —
 	// every ownership check on the hot path is then one nil compare).
 	cl *clusterState
-}
-
-// pairShardCount stripes the pairwise-event dedup map (power of two).
-const pairShardCount = 16
-
-// pairShard is one stripe of the pairwise dedup state.
-type pairShard struct {
-	mu   sync.Mutex
-	seen map[uint64]time.Time
-	_    [48]byte
 }
 
 // detectorMetrics is one detector family's observability surface: the
@@ -263,31 +241,7 @@ func (m *detectorMetrics) snapshot() DetectionStats {
 // monitoring is not configured.
 func (p *Pipeline) Congestion() *congestion.Monitor { return p.congestion }
 
-// shouldEmitPair reports whether a pairwise event may be emitted, and
-// records it; repeats within the window are suppressed system-wide.
-// The check is striped by the pair key (events.PairKey) — the low bits
-// of both MMSIs — so a pair always routes to the same shard, dedup
-// stays exact, and unrelated pairs rarely contend.
-func (p *Pipeline) shouldEmitPair(key uint64, at time.Time, window time.Duration) bool {
-	sh := &p.pairShards[(key^key>>32)&(pairShardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if last, ok := sh.seen[key]; ok && at.Sub(last) < window {
-		return false
-	}
-	// Opportunistic cleanup keeps each stripe bounded.
-	if len(sh.seen) > (1<<16)/pairShardCount {
-		for k, t := range sh.seen {
-			if at.Sub(t) > window {
-				delete(sh.seen, k)
-			}
-		}
-	}
-	sh.seen[key] = at
-	return true
-}
-
-// New builds and starts the actor topology (writers only; vessel and
+// New builds and starts the actor topology (the writer only; vessel and
 // cell actors materialise on first contact).
 func New(cfg Config) (_ *Pipeline, err error) {
 	if cfg.Forecaster == nil {
@@ -295,17 +249,6 @@ func New(cfg Config) (_ *Pipeline, err error) {
 	}
 	if err := cfg.Collision.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if cfg.Writers <= 0 {
-		cfg.Writers = 1
-	}
-	// The writer fan-out uses a power-of-two mask; round the writer pool
-	// up so every mask value maps to a writer.
-	for w := 1; ; w <<= 1 {
-		if w >= cfg.Writers {
-			cfg.Writers = w
-			break
-		}
 	}
 	if cfg.Chaos != nil {
 		// The shared forecaster is wrapped here so vessel actors exercise
@@ -326,16 +269,15 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		}()
 	}
 	p := &Pipeline{
-		cfg:        cfg,
-		system:     actor.NewSystem("seatwin"),
-		store:      store,
-		views:      vw,
-		log:        events.NewLog(1 << 14),
-		latency:    metrics.NewShardedLatencyRecorder(0),
-		inferLat:   metrics.NewShardedLatencyRecorder(0),
-		messages:   metrics.NewShardedCounter(0),
-		forecasts:  metrics.NewShardedCounter(0),
-		writerMask: uint64(cfg.Writers - 1),
+		cfg:       cfg,
+		system:    actor.NewSystem("seatwin"),
+		store:     store,
+		views:     vw,
+		log:       events.NewLog(1 << 14),
+		latency:   metrics.NewShardedLatencyRecorder(0),
+		inferLat:  metrics.NewShardedLatencyRecorder(0),
+		messages:  metrics.NewShardedCounter(0),
+		forecasts: metrics.NewShardedCounter(0),
 
 		retryAttempts:  metrics.NewShardedCounter(0),
 		retryRetried:   metrics.NewShardedCounter(0),
@@ -351,15 +293,16 @@ func New(cfg Config) (_ *Pipeline, err error) {
 	if cfg.Chaos != nil {
 		p.kv = chaos.WrapKV(store, cfg.Chaos)
 	}
-	p.retryP = cfg.Retry
+	p.retryP = cfg.retry
 	if p.retryP.IsZero() {
 		p.retryP = retry.DefaultPolicy()
 	}
 	if cfg.RouteModel != nil {
 		p.routeModel.Store(cfg.RouteModel)
 	}
-	for i := range p.pairShards {
-		p.pairShards[i].seen = make(map[uint64]time.Time)
+	idle := cfg.cellIdle
+	if idle == 0 {
+		idle = cellIdleTimeout
 	}
 	if len(cfg.Ports) > 0 {
 		p.congestion = congestion.NewMonitor(cfg.Ports, 0)
@@ -377,24 +320,26 @@ func New(cfg Config) (_ *Pipeline, err error) {
 		kindProximity: actor.PropsFromProducer(func(actor.Key) actor.Actor {
 			return &cellActor{
 				p:          p,
-				detector:   events.NewGridProximityDetector(p.cfg.Proximity),
-				passivator: newPassivator(p.idleTimeout()),
+				prox:       events.NewGridProximityDetector(p.cfg.Proximity),
+				m:          &p.proxDet,
+				passivator: passivator{timeout: idle},
 			}
 		}),
 		kindCollision: actor.PropsFromProducer(func(k actor.Key) actor.Actor {
 			d := events.NewGridDetector(p.cfg.Collision, 10*time.Minute)
 			d.SetCell(k.ID)
-			return &collisionActor{
+			return &cellActor{
 				p:          p,
-				detector:   d,
-				passivator: newPassivator(p.idleTimeout()),
+				coll:       d,
+				m:          &p.collDet,
+				passivator: passivator{timeout: idle},
 			}
 		}),
 		kindWriter: actor.PropsFromProducer(func(actor.Key) actor.Actor { return &writerActor{p: p} }),
 	}
-	for i := 0; i < cfg.Writers; i++ {
-		p.writers = append(p.writers, p.actorOf(kindWriter, uint64(i)))
-	}
+	// The writer is registered (ID 0) like every other actor, so
+	// QueuedMessages and Shutdown, and with them Drain, see it.
+	p.writer = p.actorOf(kindWriter, 0)
 	if cfg.Cluster != nil {
 		cl, err := newClusterState(p, *cfg.Cluster)
 		if err != nil {
@@ -416,17 +361,6 @@ func (p *Pipeline) Store() *kvstore.Store { return p.store }
 
 // EventLog exposes the in-memory event list (the UI's Figure 4f feed).
 func (p *Pipeline) EventLog() *events.Log { return p.log }
-
-// writerFor deterministically assigns an output source to one writer:
-// a power-of-two mask over the mixed MMSI, cheaper than the modulo it
-// replaces and evenly spread even for sequential MMSI blocks.
-func (p *Pipeline) writerFor(mmsi ais.MMSI) *actor.PID {
-	h := uint64(mmsi)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return p.writers[h&p.writerMask]
-}
 
 // ckptInterval resolves the checkpoint cadence: reports between
 // snapshots, or 0 when checkpointing is disabled.
@@ -483,9 +417,9 @@ func (p *Pipeline) checkpointStale(key string, lastTS time.Time) bool {
 // saveCheckpointFields persists one vessel's history window under key
 // through the (possibly chaos-wrapped) store, with retries; an
 // exhausted save is counted as a checkpoint failure and dropped — the
-// previous checkpoint, if any, stays in place. Writer actors pass their
-// reused encoder and a cached key, so a periodic save costs one string
-// conversion per snapshot instead of one per report field.
+// previous checkpoint, if any, stays in place. The writer actor passes
+// its reused encoder and a cached key, so a periodic save costs one
+// string conversion per snapshot instead of one per report field.
 func (p *Pipeline) saveCheckpointFields(key string, mmsi ais.MMSI, reports []ais.PositionReport, enc *checkpoint.Encoder) {
 	if len(reports) > 0 && p.checkpointStale(key, reports[len(reports)-1].Timestamp) {
 		return
@@ -530,15 +464,13 @@ func (p *Pipeline) loadCheckpoint(mmsi ais.MMSI) ([]ais.PositionReport, bool) {
 
 // Ingest routes one decoded AIS message into the pipeline: the entry
 // point used by direct feeds.
-func (p *Pipeline) Ingest(msg ais.Message, receivedAt time.Time) {
+func (p *Pipeline) Ingest(msg ais.Message) {
 	if atomic.LoadInt32(&p.closed) == 1 {
 		return
 	}
-	switch m := msg.(type) {
-	case ais.StaticVoyage:
-		p.route(kindVessel, uint64(m.MMSI), m)
-	case ais.PositionReport:
-		p.route(kindVessel, uint64(m.MMSI), posMsg{Report: m, ReceivedAt: receivedAt})
+	switch msg.(type) {
+	case ais.StaticVoyage, ais.PositionReport:
+		p.route(kindVessel, uint64(msg.Source()), msg)
 	}
 }
 
@@ -558,7 +490,7 @@ func (p *Pipeline) route(kind uint8, id uint64, msg any) {
 // alike.
 func (p *Pipeline) deliver(kind uint8, id uint64, msg any) {
 	switch m := msg.(type) {
-	case posMsg:
+	case ais.PositionReport:
 		p.messages.Inc(id, 1)
 	case ais.StaticVoyage:
 		// Static info is cached in shared memory at ingestion, available
@@ -664,13 +596,12 @@ func (b *ingestBatcher) release() {
 }
 
 // IngestBatch routes one poll's worth of broker records carrying
-// ais.Message values into the pipeline, stamping each message with its
-// record's timestamp. Owned position reports are grouped by MMSI and
-// each vessel's group is delivered as one mailbox push (see
-// actor.System.SendBatch). Per-vessel order is preserved; cross-vessel
-// order was never observable (distinct actors). Static voyage
-// documents are rare and, like foreign reports, take route. Returns
-// how many messages were accepted.
+// ais.Message values into the pipeline. Owned position reports are
+// grouped by MMSI and each vessel's group is delivered as one mailbox
+// push (see actor.System.SendBatch). Per-vessel order is preserved;
+// cross-vessel order was never observable (distinct actors). Static
+// voyage documents are rare and, like foreign reports, take route.
+// Returns how many messages were accepted.
 func (p *Pipeline) IngestBatch(recs []broker.Record) int {
 	if atomic.LoadInt32(&p.closed) == 1 || len(recs) == 0 {
 		return 0
@@ -682,17 +613,18 @@ func (p *Pipeline) IngestBatch(recs []broker.Record) int {
 		case ais.StaticVoyage:
 			p.route(kindVessel, uint64(m.MMSI), m)
 		case ais.PositionReport:
-			msg := posMsg{Report: m, ReceivedAt: recs[i].Timestamp}
+			// The record's own box is handed on: a report is boxed once,
+			// by the broker, on its way to the vessel actor.
 			if p.OwnsKey(uint64(m.MMSI)) {
 				p.messages.Inc(uint64(m.MMSI), 1)
 				atomic.AddInt64(&p.ingested, 1)
 				g := b.group(p, m.MMSI)
-				g.msgs = append(g.msgs, msg)
+				g.msgs = append(g.msgs, recs[i].Value)
 			} else {
 				// Foreign reports are accepted into the cluster (counted
 				// in n) but processed by their owner, so they skip the
 				// local batching entirely.
-				p.route(kindVessel, uint64(m.MMSI), msg)
+				p.route(kindVessel, uint64(m.MMSI), recs[i].Value)
 			}
 		default:
 			continue
@@ -710,7 +642,7 @@ func (p *Pipeline) IngestBatch(recs []broker.Record) int {
 }
 
 // Actor kinds: each entity family has its own registry table, keyed by
-// the entity itself (MMSI, hexgrid cell, writer index).
+// the entity itself (MMSI, hexgrid cell; the one writer is ID 0).
 const (
 	kindVessel uint8 = iota
 	kindProximity
@@ -731,18 +663,6 @@ func (p *Pipeline) actorOf(kind uint8, id uint64) *actor.PID {
 // vesselActor returns the actor of a MMSI.
 func (p *Pipeline) vesselActor(mmsi ais.MMSI) *actor.PID {
 	return p.actorOf(kindVessel, uint64(mmsi))
-}
-
-// idleTimeout resolves the cell-passivation setting.
-func (p *Pipeline) idleTimeout() time.Duration {
-	switch {
-	case p.cfg.CellIdleTimeout < 0:
-		return 0 // never passivate
-	case p.cfg.CellIdleTimeout == 0:
-		return 5 * time.Minute
-	default:
-		return p.cfg.CellIdleTimeout
-	}
 }
 
 // Static returns the cached static voyage data of a vessel.

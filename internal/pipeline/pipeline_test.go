@@ -33,7 +33,7 @@ func feedTrack(p *Pipeline, mmsi ais.MMSI, start geo.Point, cog, sog float64, n 
 		p.Ingest(ais.PositionReport{
 			MMSI: mmsi, Lat: pos.Lat, Lon: pos.Lon, SOG: sog, COG: cog,
 			Status: ais.StatusUnderWayEngine, Timestamp: at,
-		}, at)
+		})
 	}
 }
 
@@ -76,7 +76,7 @@ func TestStaticInfoCachedAndJoined(t *testing.T) {
 	p := newTestPipeline(t)
 	p.Ingest(ais.StaticVoyage{
 		MMSI: 239000002, Name: "BLUE TEST", ShipType: ais.TypeCargo,
-	}, t0)
+	})
 	feedTrack(p, 239000002, geo.Point{Lat: 37.5, Lon: 24.5}, 90, 12, 2, 30*time.Second, t0)
 	p.Drain(5 * time.Second)
 
@@ -185,7 +185,7 @@ func TestSwitchOffDetected(t *testing.T) {
 	p.Ingest(ais.PositionReport{
 		MMSI: 444000001, Lat: pos.Lat, Lon: pos.Lon, SOG: 10, COG: 90,
 		Status: ais.StatusUnderWayEngine, Timestamp: late,
-	}, late)
+	})
 	p.Drain(5 * time.Second)
 
 	off := p.EventLog().ByKind(events.KindSwitchOff)
@@ -205,7 +205,7 @@ func TestOutOfOrderReportsDropped(t *testing.T) {
 	p.Ingest(ais.PositionReport{
 		MMSI: 555000001, Lat: 10, Lon: 10, SOG: 5, COG: 0,
 		Timestamp: t0.Add(-time.Hour),
-	}, t0.Add(-time.Hour))
+	})
 	p.Drain(5 * time.Second)
 	h, _ := p.Store().HGetAll("vessel:555000001")
 	if strings.HasPrefix(h["lat"], "10.") {
@@ -215,7 +215,7 @@ func TestOutOfOrderReportsDropped(t *testing.T) {
 
 func TestAPIEndpoints(t *testing.T) {
 	p := newTestPipeline(t)
-	p.Ingest(ais.StaticVoyage{MMSI: 666000001, Name: "API TEST"}, t0)
+	p.Ingest(ais.StaticVoyage{MMSI: 666000001, Name: "API TEST"})
 	feedTrack(p, 666000001, geo.Point{Lat: 37.5, Lon: 24.5}, 90, 12, 3, 30*time.Second, t0)
 	base := geo.Point{Lat: 38.0, Lon: 24.0}
 	feedTrack(p, 666000002, base, 0, 8, 2, 30*time.Second, t0)

@@ -106,7 +106,6 @@ func TestRouteCacheInvalidatedOnStop(t *testing.T) {
 // stopped PID can never be permanently resurrected.
 func TestRouteCacheChurnUnderRace(t *testing.T) {
 	cfg := DefaultConfig(events.NewKinematicForecaster())
-	cfg.DisableEventFanout = true
 	cfg.CheckpointInterval = -1
 	p, err := New(cfg)
 	if err != nil {
@@ -148,7 +147,7 @@ func TestRouteCacheChurnUnderRace(t *testing.T) {
 						MMSI: ais.MMSI(239100000 + i),
 						Lat:  37.5, Lon: 24.5, SOG: 10, COG: 90,
 						Status: ais.StatusUnderWayEngine, Timestamp: at,
-					}, at)
+					})
 				}
 			}
 		}(w)
@@ -172,7 +171,7 @@ func TestRouteCacheChurnUnderRace(t *testing.T) {
 			p.Ingest(ais.PositionReport{
 				MMSI: mmsi, Lat: 38.0, Lon: 25.0, SOG: 10, COG: 90,
 				Status: ais.StatusUnderWayEngine, Timestamp: at,
-			}, at)
+			})
 			p.Drain(5 * time.Second)
 			h, err := p.Store().HGetAll(key)
 			if err != nil {
@@ -191,7 +190,7 @@ func TestRouteCacheChurnUnderRace(t *testing.T) {
 // their registry tables.
 func TestRouteCachePassivationDropsCellRoutes(t *testing.T) {
 	cfg := DefaultConfig(events.NewKinematicForecaster())
-	cfg.CellIdleTimeout = 50 * time.Millisecond
+	cfg.cellIdle = 50 * time.Millisecond
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

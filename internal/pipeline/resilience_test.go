@@ -54,7 +54,7 @@ func TestVesselActorSurvivesForecasterPanic(t *testing.T) {
 	p.Ingest(ais.PositionReport{
 		MMSI: 909000001, Lat: pos.Lat, Lon: pos.Lon, SOG: 12, COG: 90,
 		Timestamp: late,
-	}, late)
+	})
 	p.Drain(3 * time.Second)
 	h2, _ := p.Store().HGetAll("vessel:909000001")
 	if h2["ts"] == h["ts"] {
@@ -102,7 +102,7 @@ func TestShutdownIdempotent(t *testing.T) {
 	p.Shutdown(time.Second)
 	p.Shutdown(time.Second) // second call is a no-op
 	// Ingest after shutdown is silently dropped.
-	p.Ingest(ais.PositionReport{MMSI: 1, Lat: 1, Lon: 1, Timestamp: t0}, t0)
+	p.Ingest(ais.PositionReport{MMSI: 1, Lat: 1, Lon: 1, Timestamp: t0})
 	if p.Stats().Messages != 0 {
 		t.Fatal("ingest after shutdown was accepted")
 	}
